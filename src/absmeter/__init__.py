@@ -34,7 +34,6 @@ from .axis import (
 )
 from .channel import (
     Channel,
-    ReconstructionChannel,
     alphabet_compression,
     bayes_inverse,
     compose,
@@ -84,7 +83,6 @@ __all__ = [
     "make_uniform",
     "validate",
     "Channel",
-    "ReconstructionChannel",
     "alphabet_compression",
     "bayes_inverse",
     "compose",

@@ -278,13 +278,20 @@ def make_uniform(letters: Iterable[Letter], id: str = "uniform") -> Alphabet:
     return Alphabet(id, letters)
 
 
-def make_quantized_range(lo: float, hi: float, step: float, id: str = "range") -> Alphabet:
+def make_quantized_range(
+    lo: float,
+    hi: float,
+    step: float,
+    id: str = "range",
+    max_letters: int | None = None,
+) -> Alphabet:
     """Uniform alphabet over the numeric grid lo, lo+step, ..., hi.
 
     The span (hi - lo) must be an integer multiple of step to within a
-    relative 1e-6; the letter count is round((hi - lo) / step) + 1. Letter
-    ids are the grid indices 0..n-1 and each letter's label is its value
-    rendered at the grid's precision.
+    relative 1e-6; the letter count is round((hi - lo) / step) + 1 and, when
+    ``max_letters`` is given, may not exceed it. Letter ids are the grid
+    indices 0..n-1 and each letter's label is its value rendered at the
+    grid's precision.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
         raise ValueError("grid bounds and step must be finite")
@@ -293,7 +300,11 @@ def make_quantized_range(lo: float, hi: float, step: float, id: str = "range") -
     if hi < lo:
         raise ValueError(f"grid needs hi >= lo, got lo={lo!r} hi={hi!r}")
     ratio = (hi - lo) / step
+    if not math.isfinite(ratio):
+        raise ValueError(f"span {hi - lo!r} over step {step!r} is not a finite count")
     n_steps = round(ratio)
+    if max_letters is not None and n_steps + 1 > max_letters:
+        raise ValueError(f"grid has more than the {max_letters} letters supported")
     if abs(ratio - n_steps) > 1e-6 * max(1.0, abs(ratio)):
         raise ValueError(
             f"span {hi - lo!r} is not an integer multiple of step {step!r}"

@@ -6,10 +6,13 @@ conditional pmf row per source letter). A reconstruction channel is the same
 object oriented the other way: from observed outputs back to the inputs an
 observer believes produced them.
 
-Deterministic conditionals are stored as an index array, stochastic ones as
-a scipy CSR matrix. Derived channels (Bayes inversions, compositions) may be
-sparse over alphabets far larger than the declared-channel limits; sparsity
-is what keeps the exact double summations tractable at that size.
+Every channel, declared or derived, is stored as one sorted entry list: three
+equal-length numpy arrays holding the source index (non-decreasing), the
+target index (ascending within a source) and the conditional probability. A
+deterministic channel is the case of one entry per source with value 1.
+Derived channels (Bayes inversions, compositions) may span alphabets far
+larger than the declared-channel limits; listing only the entries a channel
+can reach is what keeps the exact double summations tractable at that size.
 
 Measures:
 
@@ -22,11 +25,9 @@ reconstruction puts mass where the prior has none.
 
 from __future__ import annotations
 
-import math
 from typing import Mapping
 
 import numpy as np
-from scipy import sparse
 
 from .alphabet import Alphabet, LetterId, Pmf, entropy, kl_divergence
 
@@ -34,8 +35,7 @@ from .alphabet import Alphabet, LetterId, Pmf, entropy, kl_divergence
 MAX_DETERMINISTIC_LETTERS = 2 ** 21
 MAX_STOCHASTIC_LETTERS = 4096
 
-# Derived reconstruction channels refuse to materialize beyond this many
-# nonzero conditional entries.
+# Derived channels refuse to materialize beyond this many conditional entries.
 MAX_DERIVED_NONZEROS = 2 ** 26
 
 # A conditional row must sum to one within this.
@@ -63,28 +63,40 @@ def _require_same_letters(a: Alphabet, b: Alphabet, context: str) -> None:
 
 
 class Channel:
-    """Conditional distribution over target letters given a source letter."""
+    """Conditional distribution over target letters given a source letter.
 
-    __slots__ = ("id", "source", "target", "_image", "_matrix")
+    ``rows``, ``cols`` and ``vals`` are the entry list described in the
+    module docstring; the constructor trusts them to be sorted and every
+    source to have at least one entry.
+    """
+
+    __slots__ = ("id", "source", "target", "rows", "cols", "vals")
 
     def __init__(
         self,
         id: str,
         source: Alphabet,
         target: Alphabet,
-        *,
-        image: np.ndarray | None = None,
-        matrix: sparse.csr_matrix | None = None,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        vals: np.ndarray,
     ):
-        if (image is None) == (matrix is None):
-            raise ValueError("channel needs exactly one of an image array or a matrix")
         self.id = id
         self.source = source
         self.target = target
-        self._image = image
-        self._matrix = matrix
+        self.rows = rows
+        self.cols = cols
+        self.vals = vals
 
     # ---- constructors -------------------------------------------------
+
+    @classmethod
+    def _from_targets(
+        cls, id: str, source: Alphabet, target: Alphabet, targets: np.ndarray
+    ) -> Channel:
+        n = len(targets)
+        sources = np.arange(n, dtype=np.intp)
+        return cls(id, source, target, sources, targets, np.ones(n))
 
     @classmethod
     def deterministic(
@@ -121,7 +133,7 @@ class Channel:
                     f"channel '{id}': image {out!r} of {lid!r} is not a letter of "
                     f"'{target.id}'"
                 ) from None
-        return cls(id, source, target, image=image)
+        return cls._from_targets(id, source, target, image)
 
     @classmethod
     def quantizer(cls, id: str, source: Alphabet, target: Alphabet, pixels: int) -> Channel:
@@ -155,7 +167,7 @@ class Channel:
         else:
             scaled = (values - lo) * ((pixels - 1) / (hi - lo))
             image = np.floor(scaled + 0.5).astype(np.intp)
-        return cls(id, source, target, image=image)
+        return cls._from_targets(id, source, target, image)
 
     @classmethod
     def stochastic(
@@ -165,7 +177,7 @@ class Channel:
         target: Alphabet,
         rows: Mapping[LetterId, Mapping[LetterId, float]],
     ) -> Channel:
-        """One conditional pmf row per source letter, stored sparse."""
+        """One conditional pmf row per source letter; unlisted targets get 0."""
         n_in, n_out = source.n_letters, target.n_letters
         if max(n_in, n_out) > MAX_STOCHASTIC_LETTERS:
             raise ValueError(
@@ -177,7 +189,7 @@ class Channel:
                 raise ValueError(
                     f"channel '{id}': row key {key!r} is not a letter of '{source.id}'"
                 )
-        indptr = np.zeros(n_in + 1, dtype=np.intp)
+        sizes = np.zeros(n_in, dtype=np.intp)
         col_chunks: list[np.ndarray] = []
         val_chunks: list[np.ndarray] = []
         for i, lid in enumerate(source.letter_ids):
@@ -210,55 +222,56 @@ class Channel:
                     f"channel '{id}': row {lid!r} sums to {total!r} "
                     f"(expected 1 within {ROW_MASS_TOLERANCE})"
                 )
-            indptr[i + 1] = indptr[i] + len(row)
+            sizes[i] = len(row)
             col_chunks.append(cols)
             val_chunks.append(vals)
-        indices = np.concatenate(col_chunks) if col_chunks else np.zeros(0, dtype=np.intp)
-        data = np.concatenate(val_chunks) if val_chunks else np.zeros(0, dtype=np.float64)
-        matrix = sparse.csr_matrix((data, indices, indptr), shape=(n_in, n_out))
-        matrix.sort_indices()
-        matrix.sum_duplicates()
-        return cls(id, source, target, matrix=matrix)
+        return cls(
+            id,
+            source,
+            target,
+            *_merge_entries(
+                n_out,
+                np.repeat(np.arange(n_in, dtype=np.intp), sizes),
+                np.concatenate(col_chunks),
+                np.concatenate(val_chunks),
+            ),
+        )
 
     @classmethod
     def identity(cls, alphabet: Alphabet, id: str | None = None) -> Channel:
         if id is None:
             id = f"identity({alphabet.id})"
-        image = np.arange(alphabet.n_letters, dtype=np.intp)
-        return cls(id, alphabet, alphabet, image=image)
+        targets = np.arange(alphabet.n_letters, dtype=np.intp)
+        return cls._from_targets(id, alphabet, alphabet, targets)
 
     # ---- inspection ----------------------------------------------------
 
     @property
     def is_deterministic(self) -> bool:
-        return self._image is not None
+        # every source has at least one entry, so n entries means one each
+        return len(self.vals) == self.source.n_letters and bool(
+            np.all(self.vals == 1.0)
+        )
 
     def image_of(self, letter_id: LetterId) -> LetterId:
-        if self._image is None:
+        if not self.is_deterministic:
             raise ValueError(f"channel '{self.id}' is stochastic")
         i = self.source.index_of(letter_id)
-        return self.target.letter_ids[int(self._image[i])]
+        return self.target.letter_ids[int(self.cols[i])]
 
     def row(self, letter_id: LetterId) -> dict[LetterId, float]:
         """Conditional distribution over target letters for one source letter."""
         i = self.source.index_of(letter_id)
+        lo, hi = np.searchsorted(self.rows, (i, i + 1))
         out_ids = self.target.letter_ids
-        if self._image is not None:
-            return {out_ids[int(self._image[i])]: 1.0}
-        m = self._matrix
-        lo, hi = m.indptr[i], m.indptr[i + 1]
         return {
-            out_ids[int(j)]: float(v) for j, v in zip(m.indices[lo:hi], m.data[lo:hi])
+            out_ids[int(j)]: float(v)
+            for j, v in zip(self.cols[lo:hi], self.vals[lo:hi])
         }
 
     def conditional(self, out_id: LetterId, in_id: LetterId) -> float:
         """P(out | in) for one pair of letters."""
         return self.row(in_id).get(out_id, 0.0)
-
-    def as_reconstruction(self) -> ReconstructionChannel:
-        return ReconstructionChannel(
-            self.id, self.source, self.target, image=self._image, matrix=self._matrix
-        )
 
     def __repr__(self) -> str:
         kind = "deterministic" if self.is_deterministic else "stochastic"
@@ -268,12 +281,25 @@ class Channel:
         )
 
 
-class ReconstructionChannel(Channel):
-    """A channel read in the reconstruction direction: observed letters back
-    to the letters an observer infers. Structurally identical to Channel."""
-
-
 # ---- operations ---------------------------------------------------------
+
+
+def _require_derived_size(total: int) -> None:
+    if total > MAX_DERIVED_NONZEROS:
+        raise ValueError(
+            f"derived channel would need {total} conditional entries, "
+            f"more than the {MAX_DERIVED_NONZEROS} supported"
+        )
+
+
+def _merge_entries(
+    n_cols: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort entries by (row, col) and add up entries on the same pair, in
+    their given order."""
+    keys, where = np.unique(rows * n_cols + cols, return_inverse=True)
+    summed = np.bincount(where, weights=vals, minlength=len(keys))
+    return keys // n_cols, keys % n_cols, summed
 
 
 def push_forward(prior: Pmf, c: Channel) -> Pmf:
@@ -283,89 +309,39 @@ def push_forward(prior: Pmf, c: Channel) -> Pmf:
     """
     prior.require_valid()
     pvec = prior.aligned_to(c.source.letter_ids)
-    if c._image is not None:
-        out = np.bincount(c._image, weights=pvec, minlength=c.target.n_letters)
-    else:
-        out = c._matrix.T.dot(pvec)
+    weights = pvec[c.rows] * c.vals
+    out = np.bincount(c.cols, weights=weights, minlength=c.target.n_letters)
     return Pmf.from_vector(c.target.letter_ids, out)
 
 
 def compose(c1: Channel, c2: Channel) -> Channel:
     """Channel equivalent to applying ``c1`` then ``c2``.
 
-    Deterministic composed with deterministic stays deterministic; any
-    stochastic participant makes the result stochastic.
+    Deterministic composed with deterministic stays deterministic; otherwise
+    the result is deterministic only where every source lands on one target
+    with probability exactly 1.
     """
     _require_same_letters(c1.target, c2.source, "compose")
-    cid = f"{c1.id}*{c2.id}"
-    if c1._image is not None and c2._image is not None:
-        return Channel(cid, c1.source, c2.target, image=c2._image[c1._image])
-    if c1._image is not None:
-        matrix = c2._matrix[c1._image, :]
-    elif c2._image is not None:
-        n = c2.source.n_letters
-        onehot = sparse.csr_matrix(
-            (
-                np.ones(n, dtype=np.float64),
-                c2._image,
-                np.arange(n + 1, dtype=np.intp),
-            ),
-            shape=(n, c2.target.n_letters),
-        )
-        matrix = c1._matrix @ onehot
-    else:
-        matrix = c1._matrix @ c2._matrix
-    matrix = matrix.tocsr()
-    matrix.sort_indices()
-    matrix.sum_duplicates()
-    return Channel(cid, c1.source, c2.target, matrix=matrix)
+    # each entry (i, j) of c1 meets every entry (j, k) of c2
+    counts = np.bincount(c2.rows, minlength=c2.source.n_letters)
+    fan = counts[c1.cols]
+    total = int(fan.sum())
+    _require_derived_size(total)
+    first_of_row = np.cumsum(counts) - counts
+    first_of_entry = np.cumsum(fan) - fan
+    pick = np.repeat(first_of_row[c1.cols] - first_of_entry, fan) + np.arange(
+        total, dtype=np.intp
+    )
+    entries = _merge_entries(
+        c2.target.n_letters,
+        np.repeat(c1.rows, fan),
+        c2.cols[pick],
+        np.repeat(c1.vals, fan) * c2.vals[pick],
+    )
+    return Channel(f"{c1.id}*{c2.id}", c1.source, c2.target, *entries)
 
 
-def _assemble_rows(
-    n_rows: int,
-    n_cols: int,
-    reach: np.ndarray,
-    reach_indices: np.ndarray,
-    reach_data: np.ndarray,
-    reach_rows: np.ndarray,
-    reach_counts: np.ndarray,
-    fallback_idx: np.ndarray,
-    fallback_val: np.ndarray,
-) -> sparse.csr_matrix:
-    """CSR whose reachable rows come from the given entry stream (sorted by
-    row, contiguous per row) and whose unreachable rows repeat the fallback
-    pmf support."""
-    nnz_fb = len(fallback_idx)
-    row_sizes = np.where(reach, reach_counts, nnz_fb)
-    total = int(row_sizes.sum())
-    if total > MAX_DERIVED_NONZEROS:
-        raise ValueError(
-            f"derived channel would need {total} conditional entries, "
-            f"more than the {MAX_DERIVED_NONZEROS} supported"
-        )
-    indptr = np.zeros(n_rows + 1, dtype=np.intp)
-    np.cumsum(row_sizes, out=indptr[1:])
-    indices = np.empty(total, dtype=np.intp)
-    data = np.empty(total, dtype=np.float64)
-    if len(reach_rows):
-        ex_prefix = np.zeros(n_rows, dtype=np.intp)
-        kept_counts = np.where(reach, reach_counts, 0)
-        np.cumsum(kept_counts[:-1], out=ex_prefix[1:])
-        offsets = np.arange(len(reach_rows), dtype=np.intp) - ex_prefix[reach_rows]
-        dest = indptr[reach_rows] + offsets
-        indices[dest] = reach_indices
-        data[dest] = reach_data
-    un = np.flatnonzero(~reach)
-    if len(un):
-        dest_u = (indptr[un][:, None] + np.arange(nnz_fb, dtype=np.intp)[None, :]).ravel()
-        indices[dest_u] = np.tile(fallback_idx, len(un))
-        data[dest_u] = np.tile(fallback_val, len(un))
-    matrix = sparse.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols))
-    matrix.sort_indices()
-    return matrix
-
-
-def bayes_inverse(c: Channel, prior: Pmf) -> ReconstructionChannel:
+def bayes_inverse(c: Channel, prior: Pmf) -> Channel:
     """Posterior reconstruction channel of ``c`` under ``prior``.
 
     Row v carries P(d | v) = prior(d) c(v | d) / sum_d' prior(d') c(v | d').
@@ -374,56 +350,27 @@ def bayes_inverse(c: Channel, prior: Pmf) -> ReconstructionChannel:
     """
     prior.require_valid()
     pvec = prior.aligned_to(c.source.letter_ids)
-    n_in, n_out = c.source.n_letters, c.target.n_letters
-    fallback_idx = np.flatnonzero(pvec > 0.0).astype(np.intp)
-    fallback_val = pvec[fallback_idx]
-    if c._image is not None:
-        marginal = np.bincount(c._image, weights=pvec, minlength=n_out)
-        reach = marginal > 0.0
-        order = np.argsort(c._image, kind="stable").astype(np.intp)
-        rows_sorted = c._image[order]
-        keep = reach[rows_sorted]
-        kept = order[keep]
-        kept_rows = rows_sorted[keep]
-        counts = np.bincount(c._image, minlength=n_out)
-        kept_counts = np.where(reach, counts, 0)
-        matrix = _assemble_rows(
-            n_rows=n_out,
-            n_cols=n_in,
-            reach=reach,
-            reach_indices=kept,
-            reach_data=pvec[kept] / marginal[kept_rows],
-            reach_rows=kept_rows,
-            reach_counts=kept_counts,
-            fallback_idx=fallback_idx,
-            fallback_val=fallback_val,
-        )
-    else:
-        joint = c._matrix.multiply(pvec[:, None]).tocsr()
-        marginal = np.asarray(joint.sum(axis=0)).ravel()
-        reach = marginal > 0.0
-        flipped = joint.T.tocsr()
-        flipped.sort_indices()
-        counts = np.diff(flipped.indptr).astype(np.intp)
-        row_of_entry = np.repeat(
-            np.arange(n_out, dtype=np.intp), counts
-        )
-        keep = reach[row_of_entry]
-        matrix = _assemble_rows(
-            n_rows=n_out,
-            n_cols=n_in,
-            reach=reach,
-            reach_indices=flipped.indices[keep].astype(np.intp),
-            reach_data=flipped.data[keep] / marginal[row_of_entry[keep]],
-            reach_rows=row_of_entry[keep],
-            reach_counts=np.where(reach, counts, 0),
-            fallback_idx=fallback_idx,
-            fallback_val=fallback_val,
-        )
-    return ReconstructionChannel(f"bayes({c.id})", c.target, c.source, matrix=matrix)
+    joint = pvec[c.rows] * c.vals
+    marginal = np.bincount(c.cols, weights=joint, minlength=c.target.n_letters)
+    reach = marginal > 0.0
+    keep = reach[c.cols]
+    reached = c.cols[keep]
+    support = np.flatnonzero(pvec > 0.0)
+    unreached = np.flatnonzero(~reach)
+    _require_derived_size(len(reached) + len(unreached) * len(support))
+    rows = np.concatenate([reached, np.repeat(unreached, len(support))])
+    cols = np.concatenate([c.rows[keep], np.tile(support, len(unreached))])
+    vals = np.concatenate(
+        [joint[keep] / marginal[reached], np.tile(pvec[support], len(unreached))]
+    )
+    # a stable sort by target keeps each target's sources ascending
+    by_row = np.argsort(rows, kind="stable")
+    return Channel(
+        f"bayes({c.id})", c.target, c.source, rows[by_row], cols[by_row], vals[by_row]
+    )
 
 
-def reconstructed_pmf(prior: Pmf, forward: Channel, recon: ReconstructionChannel) -> Pmf:
+def reconstructed_pmf(prior: Pmf, forward: Channel, recon: Channel) -> Pmf:
     """Distribution an observer lands on after the round trip through
     ``forward`` and back through ``recon``:
 
@@ -448,7 +395,7 @@ def alphabet_compression(prior: Pmf, c: Channel) -> float:
 
 
 def potential_distortion(
-    prior: Pmf, forward: Channel, recon: ReconstructionChannel
+    prior: Pmf, forward: Channel, recon: Channel
 ) -> float:
     """Divergence of the reconstructed distribution from the prior, bits.
 

@@ -31,7 +31,6 @@ from enum import Enum
 from .alphabet import Pmf, entropy
 from .channel import (
     Channel,
-    ReconstructionChannel,
     alphabet_compression,
     bayes_inverse,
     potential_distortion,
@@ -141,7 +140,7 @@ class Stage:
     """
 
     forward: Channel
-    recon: ReconstructionChannel | Channel | str = BAYES
+    recon: Channel | str = BAYES
     cost: float = 1.0
     id: str | None = None
 
@@ -166,8 +165,6 @@ class Stage:
                 f"reconstruction '{recon.id}' is not oriented from "
                 f"'{self.forward.target.id}' back to '{self.forward.source.id}'"
             )
-        if not isinstance(recon, ReconstructionChannel):
-            object.__setattr__(self, "recon", recon.as_reconstruction())
 
 
 @dataclass(frozen=True)

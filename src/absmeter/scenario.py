@@ -19,7 +19,7 @@ from typing import Any, Mapping
 
 from .alphabet import Alphabet, Letter, LetterId, Pmf, entropy, make_quantized_range, validate
 from .axis import AbstractionAxis, NodeKind, RepresentationNode
-from .channel import Channel, _same_letters
+from .channel import MAX_DETERMINISTIC_LETTERS, Channel, _same_letters
 from .costbenefit import (
     BAYES,
     AbstractionJudgment,
@@ -170,6 +170,12 @@ def _build_alphabet(decl: Any, path: str) -> Alphabet:
         n = _as_int(decl["uniform_count"], f"{path}.uniform_count")
         if n < 1:
             _fail(f"{path}.uniform_count", f"must be >= 1, got {n}")
+        if n > MAX_DETERMINISTIC_LETTERS:
+            _fail(
+                f"{path}.uniform_count",
+                f"{n} letters is more than the {MAX_DETERMINISTIC_LETTERS} "
+                "any channel accepts",
+            )
         return Alphabet(aid, (Letter(str(i)) for i in range(n)))
     if mode == "uniform_range":
         spec = _as_obj(decl["uniform_range"], f"{path}.uniform_range")
@@ -178,7 +184,9 @@ def _build_alphabet(decl: Any, path: str) -> Alphabet:
         hi = _as_number(spec["max"], f"{path}.uniform_range.max")
         step = _as_number(spec["step"], f"{path}.uniform_range.step")
         try:
-            return make_quantized_range(lo, hi, step, id=aid)
+            return make_quantized_range(
+                lo, hi, step, id=aid, max_letters=MAX_DETERMINISTIC_LETTERS
+            )
         except ValueError as e:
             _fail(f"{path}.uniform_range", str(e))
     entries = _as_list(decl["letters"], f"{path}.letters")

@@ -91,6 +91,17 @@ class TestQuantizedRange:
         with pytest.raises(ValueError):
             make_quantized_range(lo, hi, step)
 
+    def test_rejects_infinite_span(self):
+        with pytest.raises(ValueError, match="finite count"):
+            make_quantized_range(-1e308, 1e308, 1.0)
+
+    def test_letter_budget_checked_before_building(self):
+        assert make_quantized_range(0, 10, 1, max_letters=11).n_letters == 11
+        with pytest.raises(ValueError, match="more than the 10 letters"):
+            make_quantized_range(0, 10, 1, max_letters=10)
+        with pytest.raises(ValueError, match="more than the 10 letters"):
+            make_quantized_range(0, 1, 1e-300, max_letters=10)
+
     def test_grid_letter_lookup(self):
         a = make_quantized_range(0, 10, 1)
         assert a.has_letter(0)

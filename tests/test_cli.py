@@ -153,6 +153,31 @@ class TestAnalyze:
         assert out == ""
         assert json.loads(target.read_text(encoding="utf-8"))["scenario"]
 
+    @pytest.mark.parametrize(
+        "alphabet,path",
+        [
+            ({"uniform_count": 10**12}, "alphabets[0].uniform_count"),
+            (
+                {"uniform_range": {"min": 0, "max": 3_000_000, "step": 1}},
+                "alphabets[0].uniform_range",
+            ),
+            (
+                {"uniform_range": {"min": -1e308, "max": 1e308, "step": 1}},
+                "alphabets[0].uniform_range",
+            ),
+        ],
+        ids=["count", "range", "infinite-span"],
+    )
+    def test_oversized_alphabet_exits_one(self, alphabet, path, tmp_path, capsys):
+        # refused from the declared count, before any letter is built
+        target = tmp_path / "huge.json"
+        target.write_text(
+            json.dumps({"alphabets": [{"id": "huge", **alphabet}]}), encoding="utf-8"
+        )
+        code, _, err = run_cli(["analyze", str(target)], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {path}:")
+
     def test_bad_format_is_usage_error(self, fixtures_dir, capsys):
         path = str(fixtures_dir / "route_premises_hold.json")
         code, _, err = run_cli(["analyze", path, "--format", "yaml"], capsys)
@@ -300,6 +325,17 @@ class TestEndToEnd:
         second = run_module(["analyze", path, "--format", "json"])
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+    def test_import_loads_no_scipy(self):
+        probe = (
+            "import sys, absmeter; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     def test_help_exits_zero(self):
         result = run_module(["--help"])
