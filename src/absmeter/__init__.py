@@ -54,10 +54,8 @@ from .costbenefit import (
     TaskTarget,
     abstraction_score,
     compare_routes,
-    direct_cost_benefit,
     is_abstraction,
     is_meaningful_visual_abstraction,
-    judge,
     pipeline_cost_benefit,
     stage_cost_benefit,
 )
@@ -101,10 +99,8 @@ __all__ = [
     "TaskTarget",
     "abstraction_score",
     "compare_routes",
-    "direct_cost_benefit",
     "is_abstraction",
     "is_meaningful_visual_abstraction",
-    "judge",
     "pipeline_cost_benefit",
     "stage_cost_benefit",
     "AbstractionAxis",

@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 # Information comparisons along an axis treat changes at or below this as none.
 INFORMATION_TOLERANCE = 1e-9
@@ -149,9 +149,6 @@ class AbstractionSpace:
     @property
     def point_count(self) -> int:
         return math.prod(self.shape)
-
-    def points(self) -> Iterator[tuple[int, ...]]:
-        return itertools.product(*(range(n) for n in self.shape))
 
 
 def combine_space(axes: Sequence[AbstractionAxis]) -> AbstractionSpace:

@@ -269,10 +269,6 @@ class Channel:
             for j, v in zip(self.cols[lo:hi], self.vals[lo:hi])
         }
 
-    def conditional(self, out_id: LetterId, in_id: LetterId) -> float:
-        """P(out | in) for one pair of letters."""
-        return self.row(in_id).get(out_id, 0.0)
-
     def __repr__(self) -> str:
         kind = "deterministic" if self.is_deterministic else "stochastic"
         return (
@@ -368,6 +364,27 @@ def bayes_inverse(c: Channel, prior: Pmf) -> Channel:
     return Channel(
         f"bayes({c.id})", c.target, c.source, rows[by_row], cols[by_row], vals[by_row]
     )
+
+
+def _bayes_round_trip(prior: Pmf, c: Channel) -> Pmf:
+    """``reconstructed_pmf(prior, c, bayes_inverse(c, prior))`` without
+    building the inverse.
+
+    Only reached targets carry observed mass back, so the inverse's
+    prior rows for unreached targets contribute nothing and are skipped. The
+    terms are added per source in ascending target order, as the inverse's
+    rows add them, so the result is the same float for float.
+    """
+    prior.require_valid()
+    pvec = prior.aligned_to(c.source.letter_ids)
+    joint = pvec[c.rows] * c.vals
+    m = np.bincount(c.cols, weights=joint, minlength=c.target.n_letters)[c.cols]
+    keep = m > 0.0
+    # m * (joint / m) rather than joint: the inverse stores joint / m
+    q = np.bincount(
+        c.rows[keep], weights=m[keep] * (joint[keep] / m[keep]), minlength=c.source.n_letters
+    )
+    return Pmf.from_vector(c.source.letter_ids, q)
 
 
 def reconstructed_pmf(prior: Pmf, forward: Channel, recon: Channel) -> Pmf:

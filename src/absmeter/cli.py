@@ -5,7 +5,7 @@ Subcommands:
   analyze    evaluate a scenario file (or stdin) and print a report
   exemplar   print one of the built-in scenario declarations as JSON
   score      score a single quality judgment from its two conditions
-  axis       classify the transitions along declared axes
+  axis       classify transitions along declared axes; evaluates no channel
   validate   parse a scenario file and report whether it is well formed
 
 Exit codes: 0 on success, 1 for bad input (unreadable file, malformed
@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .costbenefit import ConditionB, abstraction_score
 from .exemplars import EXEMPLAR_NAMES, exemplar
-from .report import _FORMATS, analyze
+from .report import _FORMATS, _axis_sections, _fork_text, _transition_text, analyze
 from .scenario import Scenario, ScenarioError, loads_scenario
 
 _CONDITION_B = {
@@ -85,21 +85,16 @@ def _cmd_axis(args) -> int:
             f"scenario '{scenario.id}' has no axis '{args.axis}' "
             f"(declared: {', '.join(scenario.axes)})"
         )
-    report = analyze(scenario)
+    sections = _axis_sections(scenario.axes.values())
     lines = []
-    for block in report.body["axes"]:
+    for block in sections["axes"]:
         if args.axis is not None and block["id"] != args.axis:
             continue
         lines.append(f"{block['id']}:")
-        for t in block["transitions"]:
-            lines.append(f"  [{t['index']}] {t['from']} -> {t['to']}: {t['kind']}")
-    for f in report.body.get("forks", ()):
-        if args.axis is not None and args.axis not in (f["axis_a"], f["axis_b"]):
-            continue
-        lines.append(
-            f"fork {f['axis_a']} | {f['axis_b']}: shared "
-            f"{'/'.join(f['shared_prefix'])}, diverge at index {f['fork_index']}"
-        )
+        lines += [f"  [{t['index']}] {_transition_text(t)}" for t in block["transitions"]]
+    for f in sections.get("forks", ()):
+        if args.axis is None or args.axis in (f["axis_a"], f["axis_b"]):
+            lines.append(f"fork {_fork_text(f)}")
     _write("\n".join(lines) + "\n", args.out)
     return 0
 

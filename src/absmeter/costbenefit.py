@@ -28,13 +28,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .alphabet import Pmf, entropy
+from .alphabet import Pmf, entropy, kl_divergence
 from .channel import (
     Channel,
     alphabet_compression,
-    bayes_inverse,
     potential_distortion,
     push_forward,
+    _bayes_round_trip,
     _same_letters,
 )
 
@@ -114,22 +114,6 @@ class AbstractionJudgment:
             )
 
 
-def judge(
-    condition_a: bool,
-    condition_b: ConditionB | str,
-    point_of_view: PointOfView | None = None,
-    id: str | None = None,
-) -> AbstractionJudgment:
-    b = ConditionB(condition_b)
-    return AbstractionJudgment(
-        condition_a=condition_a,
-        condition_b=b,
-        score=abstraction_score(condition_a, b),
-        point_of_view=point_of_view,
-        id=id,
-    )
-
-
 @dataclass(frozen=True)
 class Stage:
     """One transformation step: forward channel, reconstruction, cost.
@@ -169,7 +153,8 @@ class Stage:
 
 @dataclass(frozen=True)
 class Pipeline:
-    """Chained stages; each stage's target feeds the next stage's source."""
+    """Two or more chained stages; each stage's target feeds the next
+    stage's source."""
 
     id: str
     stages: tuple[Stage, ...]
@@ -178,8 +163,10 @@ class Pipeline:
     def __post_init__(self):
         stages = tuple(self.stages)
         object.__setattr__(self, "stages", stages)
-        if not stages:
-            raise ValueError(f"pipeline '{self.id}' has no stages")
+        if len(stages) < 2:
+            raise ValueError(
+                f"pipeline '{self.id}' needs at least two stages (got {len(stages)})"
+            )
         for i in range(len(stages) - 1):
             a, b = stages[i].forward.target, stages[i + 1].forward.source
             if not _same_letters(a, b):
@@ -263,12 +250,10 @@ def _evaluate(stage: Stage, prior: Pmf) -> tuple[StageMetrics, Pmf, float, float
     out = push_forward(prior, stage.forward)
     h_out = entropy(out)
     ac = h_in - h_out
-    recon = (
-        bayes_inverse(stage.forward, prior)
-        if isinstance(stage.recon, str)
-        else stage.recon
-    )
-    pd = potential_distortion(prior, stage.forward, recon)
+    if isinstance(stage.recon, str):
+        pd = kl_divergence(_bayes_round_trip(prior, stage.forward), prior)
+    else:
+        pd = potential_distortion(prior, stage.forward, stage.recon)
     benefit = ac - pd
     metrics = StageMetrics(
         stage_id=stage.id,
@@ -306,11 +291,6 @@ def pipeline_cost_benefit(pipeline: Pipeline) -> CostBenefitReport:
     benefit is the sum of stage compressions minus the sum of stage
     distortions, which must telescope to H(first) - H(last) - sum PD.
     """
-    if len(pipeline.stages) < 2:
-        raise ValueError(
-            f"pipeline '{pipeline.id}' needs at least two stages for a combined "
-            f"cost-benefit (got {len(pipeline.stages)})"
-        )
     prior = pipeline.effective_prior
     collected: list[StageMetrics] = []
     current = prior
@@ -340,14 +320,6 @@ def pipeline_cost_benefit(pipeline: Pipeline) -> CostBenefitReport:
         input_entropy=h_first,
         output_entropy=h_last,
     )
-
-
-def direct_cost_benefit(stage: Stage, prior: Pmf | None = None) -> CostBenefitReport:
-    """Evaluate a single stage that goes straight from data to task outcome,
-    under its source alphabet's own distribution unless one is given."""
-    if prior is None:
-        prior = stage.forward.source.pmf
-    return stage_cost_benefit(stage, prior)
 
 
 def compare_routes(via_stages: Pipeline, direct: Stage) -> RouteComparison:

@@ -6,6 +6,12 @@ stage under its source alphabet's own distribution), chained pipeline
 metrics, route comparisons, judgment scores, and axis transition
 classifications. Sections with nothing to say are omitted.
 
+Each section is described once: `_STAGE_FIELDS` names every stage metric
+with its body/CSV key, table header and getter; `_FLAT` names the id and
+metric keys of the flat sections; `_transition_text` and `_fork_text` spell
+the axis lines. The JSON body, the CSV, the table and `absmeter axis` all
+read those descriptions.
+
 Rendering is deterministic byte for byte. The machine formats (json, csv)
 carry full float precision and spell infinities "+inf"/"-inf"; the table
 format rounds to four decimals for reading.
@@ -18,9 +24,10 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .alphabet import entropy
-from .axis import detect_fork
+from .axis import AbstractionAxis, detect_fork
 from .costbenefit import (
     StageMetrics,
     compare_routes,
@@ -28,8 +35,6 @@ from .costbenefit import (
     stage_cost_benefit,
 )
 from .scenario import Scenario
-
-_FORMATS = ("table", "json", "csv")
 
 
 @dataclass
@@ -40,13 +45,10 @@ class Report:
     body: dict
 
     def render(self, format: str = "table") -> str:
-        if format == "json":
-            return self.to_json()
-        if format == "csv":
-            return self.to_csv()
-        if format == "table":
-            return self.to_table()
-        raise ValueError(f"unknown format {format!r} (valid: {', '.join(_FORMATS)})")
+        to_text = _FORMATS.get(format)
+        if to_text is None:
+            raise ValueError(f"unknown format {format!r} (valid: {', '.join(_FORMATS)})")
+        return to_text(self)
 
     def to_json(self) -> str:
         return json.dumps(_jsonable(self.body), indent=2, sort_keys=True) + "\n"
@@ -55,20 +57,20 @@ class Report:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["section", "id", "metric", "value"])
-        for section, rows in _flatten(self.body):
-            for rid, metric, value in rows:
-                writer.writerow([section, rid, metric, _machine(value)])
+        for section, rid, metric, value in _flatten(self.body):
+            writer.writerow([section, rid, metric, _text(value, machine=True)])
         return out.getvalue()
 
     def to_table(self) -> str:
         return _render_table(self.body)
 
 
+_FORMATS = {"table": Report.to_table, "json": Report.to_json, "csv": Report.to_csv}
+
+
 def _jsonable(value):
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "+inf" if value > 0 else "-inf"
-        return value
+    if isinstance(value, float) and math.isinf(value):
+        return _text(value)
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -76,35 +78,39 @@ def _jsonable(value):
     return value
 
 
-def _machine(value) -> str:
+def _text(value, machine: bool = False) -> str:
+    """One report value as text: full precision and true/false for the
+    machine formats, four decimals and yes/no for the table."""
     if isinstance(value, bool):
-        return "true" if value else "false"
+        return ("true" if value else "false") if machine else ("yes" if value else "no")
     if isinstance(value, float):
         if math.isinf(value):
             return "+inf" if value > 0 else "-inf"
-        return repr(value)
+        return repr(value) if machine else f"{value:.4f}"
     return str(value)
 
 
-def _human(value) -> str:
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "+inf" if value > 0 else "-inf"
-        return f"{value:.4f}"
-    return str(value)
-
-
+# (body/CSV key, table header or None for CSV-only, getter); the getters
+# also read a pipeline's totals, which share these attribute names
 _STAGE_FIELDS = (
-    ("input_entropy_bits", lambda m: m.input_entropy),
-    ("output_entropy_bits", lambda m: m.output_entropy),
-    ("alphabet_compression_bits", lambda m: m.alphabet_compression),
-    ("potential_distortion_bits", lambda m: m.potential_distortion),
-    ("benefit_bits", lambda m: m.benefit),
-    ("cost", lambda m: m.cost),
-    ("ratio", lambda m: m.ratio),
+    ("input_entropy_bits", "H_in", lambda m: m.input_entropy),
+    ("output_entropy_bits", "H_out", lambda m: m.output_entropy),
+    ("alphabet_compression_bits", "AC", lambda m: m.alphabet_compression),
+    ("potential_distortion_bits", "PD", lambda m: m.potential_distortion),
+    ("benefit_bits", None, lambda m: m.benefit),
+    ("cost", "cost", lambda m: m.cost),
+    ("ratio", "ratio", lambda m: m.ratio),
 )
+_STAGE_KEYS = tuple(key for key, _, _ in _STAGE_FIELDS)
+_STAGE_COLUMNS = tuple((header, key) for key, header, _ in _STAGE_FIELDS if header)
+_PIPELINE_KEYS = ("input_entropy_bits", "output_entropy_bits", "benefit_bits", "cost", "ratio")
+
+# section -> (id key, metric keys), for the sections with one CSV row per metric
+_FLAT = {
+    "alphabets": ("id", ("letters", "entropy_bits")),
+    "stages": ("stage", _STAGE_KEYS),
+    "judgments": ("id", ("condition_a", "condition_b", "score")),
+}
 
 
 def _stage_dict(m: StageMetrics) -> dict:
@@ -114,9 +120,55 @@ def _stage_dict(m: StageMetrics) -> dict:
         "from": m.input_alphabet,
         "to": m.output_alphabet,
     }
-    for name, get in _STAGE_FIELDS:
-        out[name] = get(m)
+    for key, _, get in _STAGE_FIELDS:
+        out[key] = get(m)
     return out
+
+
+def _axis_sections(axes: Iterable[AbstractionAxis]) -> dict:
+    """The axes section, plus a forks section when any two axes fork."""
+    axes = list(axes)
+    out: dict = {
+        "axes": [
+            {
+                "id": axis.id,
+                "nodes": len(axis.nodes),
+                "transitions": [
+                    {
+                        "index": i,
+                        "from": axis.nodes[i].id,
+                        "to": axis.nodes[i + 1].id,
+                        "kind": kind.value,
+                    }
+                    for i, kind in enumerate(axis.transitions())
+                ],
+            }
+            for axis in axes
+        ]
+    }
+    forks = detect_fork(axes)
+    if forks:
+        out["forks"] = [
+            {
+                "axis_a": f.axis_a,
+                "axis_b": f.axis_b,
+                "shared_prefix": list(f.shared_prefix),
+                "fork_index": f.fork_index,
+            }
+            for f in forks
+        ]
+    return out
+
+
+def _transition_text(t: dict) -> str:
+    return f"{t['from']} -> {t['to']}: {t['kind']}"
+
+
+def _fork_text(f: dict) -> str:
+    return (
+        f"{f['axis_a']} | {f['axis_b']}: shared "
+        f"{'/'.join(f['shared_prefix'])}, diverge at index {f['fork_index']}"
+    )
 
 
 def analyze(scenario: Scenario, pipeline_id: str | None = None) -> Report:
@@ -138,13 +190,11 @@ def analyze(scenario: Scenario, pipeline_id: str | None = None) -> Report:
         ]
 
     if scenario.stages:
-        rows = []
-        for stage in scenario.stages.values():
-            report = stage_cost_benefit(stage, stage.forward.source.pmf)
-            rows.append(_stage_dict(report.stages[0]))
-        body["stages"] = rows
+        body["stages"] = [
+            _stage_dict(stage_cost_benefit(stage, stage.forward.source.pmf).stages[0])
+            for stage in scenario.stages.values()
+        ]
 
-    pipeline_reports: dict[str, object] = {}
     selected = [
         p
         for p in scenario.pipelines.values()
@@ -154,23 +204,11 @@ def analyze(scenario: Scenario, pipeline_id: str | None = None) -> Report:
         rows = []
         for pipeline in selected:
             report = pipeline_cost_benefit(pipeline)
-            pipeline_reports[pipeline.id] = report
-            stages = []
-            for i, m in enumerate(report.stages):
-                d = _stage_dict(m)
-                d["index"] = i
-                stages.append(d)
-            rows.append(
-                {
-                    "id": pipeline.id,
-                    "stages": stages,
-                    "input_entropy_bits": report.input_entropy,
-                    "output_entropy_bits": report.output_entropy,
-                    "benefit_bits": report.benefit,
-                    "cost": report.cost,
-                    "ratio": report.ratio,
-                }
-            )
+            stages = [
+                {**_stage_dict(m), "index": i} for i, m in enumerate(report.stages)
+            ]
+            totals = {key: get(report) for key, _, get in _STAGE_FIELDS if key in _PIPELINE_KEYS}
+            rows.append({"id": pipeline.id, "stages": stages, **totals})
         body["pipelines"] = rows
 
     routes = [
@@ -227,36 +265,7 @@ def analyze(scenario: Scenario, pipeline_id: str | None = None) -> Report:
         body["judgments"] = rows
 
     if scenario.axes:
-        rows = []
-        for axis in scenario.axes.values():
-            kinds = axis.transitions()
-            rows.append(
-                {
-                    "id": axis.id,
-                    "nodes": len(axis.nodes),
-                    "transitions": [
-                        {
-                            "index": i,
-                            "from": axis.nodes[i].id,
-                            "to": axis.nodes[i + 1].id,
-                            "kind": kind.value,
-                        }
-                        for i, kind in enumerate(kinds)
-                    ],
-                }
-            )
-        body["axes"] = rows
-        forks = detect_fork(list(scenario.axes.values()))
-        if forks:
-            body["forks"] = [
-                {
-                    "axis_a": f.axis_a,
-                    "axis_b": f.axis_b,
-                    "shared_prefix": list(f.shared_prefix),
-                    "fork_index": f.fork_index,
-                }
-                for f in forks
-            ]
+        body.update(_axis_sections(scenario.axes.values()))
 
     return Report(scenario_id=scenario.id, body=body)
 
@@ -265,75 +274,35 @@ def analyze(scenario: Scenario, pipeline_id: str | None = None) -> Report:
 
 
 def _flatten(body: dict):
-    """Yield (section, [(id, metric, value), ...]) pairs in body order."""
-    for section in body:
+    """Yield (section, id, metric, value) rows in body order."""
+    for section, rows in body.items():
         if section == "scenario":
-            yield "scenario", [("-", "id", body["scenario"])]
-        elif section == "alphabets":
-            yield section, [
-                (row["id"], key, row[key])
-                for row in body[section]
-                for key in ("letters", "entropy_bits")
-            ]
-        elif section == "stages":
-            yield section, [
-                (row["stage"], key, row[key])
-                for row in body[section]
-                for key, _ in _STAGE_FIELDS
-            ]
+            yield section, "-", "id", rows
+        elif section in _FLAT:
+            id_key, keys = _FLAT[section]
+            for row in rows:
+                for key in keys:
+                    yield section, row[id_key], key, row[key]
         elif section == "pipelines":
-            rows = []
-            for p in body[section]:
+            for p in rows:
                 for s in p["stages"]:
-                    rows.extend(
-                        (f"{p['id']}[{s['index']}]", key, s[key])
-                        for key, _ in _STAGE_FIELDS
-                    )
-                for key in (
-                    "input_entropy_bits",
-                    "output_entropy_bits",
-                    "benefit_bits",
-                    "cost",
-                    "ratio",
-                ):
-                    rows.append((p["id"], key, p[key]))
-            yield section, rows
+                    for key in _STAGE_KEYS:
+                        yield section, f"{p['id']}[{s['index']}]", key, s[key]
+                for key in _PIPELINE_KEYS:
+                    yield section, p["id"], key, p[key]
         elif section == "routes":
-            rows = []
-            for r in body[section]:
+            for r in rows:
                 for key, value in r.items():
                     if key != "id":
-                        rows.append((r["id"], key, value))
-            yield section, rows
-        elif section == "judgments":
-            rows = []
-            for j in body[section]:
-                for key in ("condition_a", "condition_b", "score"):
-                    rows.append((j["id"], key, j[key]))
-            yield section, rows
+                        yield section, r["id"], key, value
         elif section == "axes":
-            rows = []
-            for a in body[section]:
+            for a in rows:
                 for t in a["transitions"]:
-                    rows.append(
-                        (
-                            f"{a['id']}[{t['index']}]",
-                            "transition",
-                            f"{t['from']} -> {t['to']}: {t['kind']}",
-                        )
-                    )
-            yield section, rows
+                    yield section, f"{a['id']}[{t['index']}]", "transition", _transition_text(t)
         elif section == "forks":
-            rows = []
-            for f in body[section]:
-                rows.append(
-                    (
-                        f"{f['axis_a']}|{f['axis_b']}",
-                        "fork",
-                        f"after {'/'.join(f['shared_prefix'])} at index {f['fork_index']}",
-                    )
-                )
-            yield section, rows
+            for f in rows:
+                where = f"after {'/'.join(f['shared_prefix'])} at index {f['fork_index']}"
+                yield section, f"{f['axis_a']}|{f['axis_b']}", "fork", where
 
 
 def _format_columns(rows: list[list[str]], indent: str = "  ") -> list[str]:
@@ -346,110 +315,60 @@ def _format_columns(rows: list[list[str]], indent: str = "  ") -> list[str]:
     ]
 
 
+def _grid(rows: list[dict], columns) -> list[str]:
+    """Aligned table lines: a header row, then one row per dict; each column
+    is a (header, key) pair."""
+    cells = [[header for header, _ in columns]]
+    cells += [[_text(row[key]) for _, key in columns] for row in rows]
+    return _format_columns(cells)
+
+
 def _render_table(body: dict) -> str:
     lines: list[str] = [f"scenario: {body['scenario']}"]
-    if "alphabets" in body:
-        lines.append("")
-        lines.append("alphabets")
-        rows = [["id", "letters", "entropy_bits"]]
-        rows += [
-            [a["id"], str(a["letters"]), _human(a["entropy_bits"])]
-            for a in body["alphabets"]
-        ]
-        lines += _format_columns(rows)
-    if "stages" in body:
-        lines.append("")
-        lines.append("stages (each under its source alphabet's own distribution)")
-        rows = [["id", "from", "to", "H_in", "H_out", "AC", "PD", "cost", "ratio"]]
-        for s in body["stages"]:
-            rows.append(
-                [
-                    s["stage"],
-                    s["from"],
-                    s["to"],
-                    _human(s["input_entropy_bits"]),
-                    _human(s["output_entropy_bits"]),
-                    _human(s["alphabet_compression_bits"]),
-                    _human(s["potential_distortion_bits"]),
-                    _human(s["cost"]),
-                    _human(s["ratio"]),
-                ]
-            )
-        lines += _format_columns(rows)
-    if "pipelines" in body:
-        for p in body["pipelines"]:
-            lines.append("")
-            lines.append(f"pipeline {p['id']}")
-            rows = [["step", "stage", "from", "to", "AC", "PD", "cost", "ratio"]]
-            for s in p["stages"]:
-                rows.append(
-                    [
-                        str(s["index"]),
-                        s["stage"],
-                        s["from"],
-                        s["to"],
-                        _human(s["alphabet_compression_bits"]),
-                        _human(s["potential_distortion_bits"]),
-                        _human(s["cost"]),
-                        _human(s["ratio"]),
-                    ]
-                )
-            lines += _format_columns(rows)
-            lines.append(
-                f"  combined: benefit {_human(p['benefit_bits'])} bits, "
-                f"cost {_human(p['cost'])}, ratio {_human(p['ratio'])}"
-            )
-    if "routes" in body:
-        lines.append("")
-        lines.append("route comparisons")
-        for r in body["routes"]:
-            lines.append(
-                f"  {r['id']}: pipeline {r['pipeline']} ratio "
-                f"{_human(r['pipeline_ratio'])} vs direct {r['direct_stage']} ratio "
-                f"{_human(r['direct_ratio'])}"
-            )
-            rows = [
-                ["premise", "holds"],
-                ["direct costs more", _human(r["cost_premise_holds"])],
-                ["direct distorts more", _human(r["distortion_premise_holds"])],
-                ["compression additive", _human(r["compression_additive"])],
-            ]
-            lines += _format_columns(rows, indent="    ")
-            verdict = (
-                "pipeline preferred" if r["pipeline_preferred"] else "direct preferred or tied"
-            )
-            if "note" in r:
-                verdict += f" ({r['note']})"
-            lines.append(f"    {verdict}")
-    if "judgments" in body:
-        lines.append("")
-        lines.append("judgments")
-        rows = [["id", "condition_a", "condition_b", "score"]]
-        for j in body["judgments"]:
-            rows.append(
-                [
-                    j["id"],
-                    _human(j["condition_a"]),
-                    j["condition_b"],
-                    str(j["score"]),
-                ]
-            )
-        lines += _format_columns(rows)
-    if "axes" in body:
-        lines.append("")
-        lines.append("axes")
-        for a in body["axes"]:
-            lines.append(f"  {a['id']} ({a['nodes']} nodes)")
-            for t in a["transitions"]:
+    for section, rows in body.items():
+        if section in ("alphabets", "judgments"):
+            lines += ["", section]
+            lines += _grid(rows, [(key, key) for key in ("id", *_FLAT[section][1])])
+        elif section == "stages":
+            lines += ["", "stages (each under its source alphabet's own distribution)"]
+            lines += _grid(rows, [("id", "stage"), ("from", "from"), ("to", "to"), *_STAGE_COLUMNS])
+        elif section == "pipelines":
+            for p in rows:
+                lines += ["", f"pipeline {p['id']}"]
+                columns = [("step", "index"), ("stage", "stage"), ("from", "from"), ("to", "to")]
+                # steps leave out the stage entropies: columns from AC on
+                lines += _grid(p["stages"], columns + list(_STAGE_COLUMNS[2:]))
                 lines.append(
-                    f"    [{t['index']}] {t['from']} -> {t['to']}: {t['kind']}"
+                    f"  combined: benefit {_text(p['benefit_bits'])} bits, "
+                    f"cost {_text(p['cost'])}, ratio {_text(p['ratio'])}"
                 )
-    if "forks" in body:
-        lines.append("")
-        lines.append("forks")
-        for f in body["forks"]:
-            lines.append(
-                f"  {f['axis_a']} | {f['axis_b']}: shared "
-                f"{'/'.join(f['shared_prefix'])}, diverge at index {f['fork_index']}"
-            )
+        elif section == "routes":
+            lines += ["", "route comparisons"]
+            for r in rows:
+                lines.append(
+                    f"  {r['id']}: pipeline {r['pipeline']} ratio "
+                    f"{_text(r['pipeline_ratio'])} vs direct {r['direct_stage']} ratio "
+                    f"{_text(r['direct_ratio'])}"
+                )
+                premises = [
+                    ["premise", "holds"],
+                    ["direct costs more", _text(r["cost_premise_holds"])],
+                    ["direct distorts more", _text(r["distortion_premise_holds"])],
+                    ["compression additive", _text(r["compression_additive"])],
+                ]
+                lines += _format_columns(premises, indent="    ")
+                verdict = (
+                    "pipeline preferred" if r["pipeline_preferred"] else "direct preferred or tied"
+                )
+                if "note" in r:
+                    verdict += f" ({r['note']})"
+                lines.append(f"    {verdict}")
+        elif section == "axes":
+            lines += ["", "axes"]
+            for a in rows:
+                lines.append(f"  {a['id']} ({a['nodes']} nodes)")
+                lines += [f"    [{t['index']}] {_transition_text(t)}" for t in a["transitions"]]
+        elif section == "forks":
+            lines += ["", "forks"]
+            lines += [f"  {_fork_text(f)}" for f in rows]
     return "\n".join(lines) + "\n"

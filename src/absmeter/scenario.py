@@ -525,56 +525,30 @@ def parse_scenario(data: Mapping, name: str = "scenario") -> Scenario:
         if "point_of_view" in meta:
             _build_point_of_view(meta["point_of_view"], "meta.point_of_view")
 
-    alphabets: dict[str, Alphabet] = {}
-    for i, decl in enumerate(_as_list(data.get("alphabets", []), "alphabets")):
-        built = _build_alphabet(decl, f"alphabets[{i}]")
-        if built.id in alphabets:
-            _fail(f"alphabets[{i}].id", f"duplicate alphabet id '{built.id}'")
-        alphabets[built.id] = built
+    def section(key: str, noun: str, build) -> dict:
+        built_by_id: dict = {}
+        for i, decl in enumerate(_as_list(data.get(key, []), key)):
+            built = build(decl, f"{key}[{i}]")
+            if built.id in built_by_id:
+                _fail(f"{key}[{i}].id", f"duplicate {noun} id '{built.id}'")
+            built_by_id[built.id] = built
+        return built_by_id
 
-    channels: dict[str, Channel] = {}
-    for i, decl in enumerate(_as_list(data.get("channels", []), "channels")):
-        built = _build_channel(decl, f"channels[{i}]", alphabets)
-        if built.id in channels:
-            _fail(f"channels[{i}].id", f"duplicate channel id '{built.id}'")
-        channels[built.id] = built
-
-    stages: dict[str, Stage] = {}
-    for i, decl in enumerate(_as_list(data.get("stages", []), "stages")):
-        built = _build_stage(decl, f"stages[{i}]", channels)
-        if built.id in stages:
-            _fail(f"stages[{i}].id", f"duplicate stage id '{built.id}'")
-        stages[built.id] = built
-
-    pipelines: dict[str, Pipeline] = {}
-    for i, decl in enumerate(_as_list(data.get("pipelines", []), "pipelines")):
-        built = _build_pipeline(decl, f"pipelines[{i}]", stages)
-        if built.id in pipelines:
-            _fail(f"pipelines[{i}].id", f"duplicate pipeline id '{built.id}'")
-        pipelines[built.id] = built
-
-    direct_routes: dict[str, DirectRoute] = {}
-    for i, decl in enumerate(_as_list(data.get("direct_routes", []), "direct_routes")):
-        built = _build_route(decl, f"direct_routes[{i}]", stages, pipelines)
-        if built.id in direct_routes:
-            _fail(f"direct_routes[{i}].id", f"duplicate route id '{built.id}'")
-        direct_routes[built.id] = built
-
-    judgments: list[AbstractionJudgment] = []
-    seen_jids: set[str] = set()
-    for i, decl in enumerate(_as_list(data.get("judgments", []), "judgments")):
-        built = _build_judgment(decl, f"judgments[{i}]")
-        if built.id in seen_jids:
-            _fail(f"judgments[{i}].id", f"duplicate judgment id '{built.id}'")
-        seen_jids.add(built.id)
-        judgments.append(built)
-
-    axes: dict[str, AbstractionAxis] = {}
-    for i, decl in enumerate(_as_list(data.get("axes", []), "axes")):
-        built = _build_axis(decl, f"axes[{i}]", alphabets)
-        if built.id in axes:
-            _fail(f"axes[{i}].id", f"duplicate axis id '{built.id}'")
-        axes[built.id] = built
+    alphabets = section("alphabets", "alphabet", _build_alphabet)
+    channels = section(
+        "channels", "channel", lambda d, path: _build_channel(d, path, alphabets)
+    )
+    stages = section("stages", "stage", lambda d, path: _build_stage(d, path, channels))
+    pipelines = section(
+        "pipelines", "pipeline", lambda d, path: _build_pipeline(d, path, stages)
+    )
+    direct_routes = section(
+        "direct_routes",
+        "route",
+        lambda d, path: _build_route(d, path, stages, pipelines),
+    )
+    judgments = section("judgments", "judgment", _build_judgment)
+    axes = section("axes", "axis", lambda d, path: _build_axis(d, path, alphabets))
 
     scenario_id = meta.get("id", name)
     return Scenario(
@@ -585,7 +559,7 @@ def parse_scenario(data: Mapping, name: str = "scenario") -> Scenario:
         stages=stages,
         pipelines=pipelines,
         direct_routes=direct_routes,
-        judgments=tuple(judgments),
+        judgments=tuple(judgments.values()),
         axes=axes,
         declaration=copy.deepcopy(dict(data)),
     )

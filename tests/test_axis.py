@@ -137,10 +137,6 @@ class TestCombineSpace:
         assert isinstance(space, AbstractionSpace)
         assert space.shape == (2, 3)
         assert space.point_count == 6
-        pts = list(space.points())
-        assert len(pts) == 6
-        assert pts[0] == (0, 0)
-        assert pts[-1] == (1, 2)
 
     def test_three_axes_multiply(self):
         axes = [

@@ -25,6 +25,7 @@ from absmeter.channel import (
     MAX_DERIVED_NONZEROS,
     MAX_DETERMINISTIC_LETTERS,
     MAX_STOCHASTIC_LETTERS,
+    _bayes_round_trip,
 )
 
 
@@ -78,8 +79,8 @@ class TestConstruction:
             "s", a, b, {"a0": {"b0": 0.25, "b2": 0.75}, "a1": {"b1": 1.0}}
         )
         assert s.row("a0") == {"b0": 0.25, "b2": 0.75}
-        assert s.conditional("b2", "a0") == 0.75
-        assert s.conditional("b1", "a0") == 0.0
+        assert s.row("a0").get("b2", 0.0) == 0.75
+        assert s.row("a0").get("b1", 0.0) == 0.0
         f = Channel.deterministic("f", a, b, {"a0": "b2", "a1": "b0"})
         assert f.image_of("a0") == "b2"
         assert f.row("a1") == {"b0": 1.0}
@@ -329,6 +330,17 @@ class TestReconstruction:
             assert np.allclose(
                 q.aligned_to(prior.ids), prior.vec, atol=1e-12
             )
+
+    def test_round_trip_without_inverse_is_bit_identical(self):
+        # criterion 6's channel shapes; odd trials keep every prior letter
+        rng = np.random.default_rng(0x5EED06)
+        for trial in range(300):
+            src = builders.random_alphabet(rng, int(rng.integers(2, 49)), "s")
+            dst = builders.random_alphabet(rng, int(rng.integers(1, 49)), "t")
+            ch, _ = builders.random_channel(rng, src, dst)
+            prior, _ = builders.random_prior(rng, src, allow_zeros=trial % 2 == 0)
+            expected = reconstructed_pmf(prior, ch, bayes_inverse(ch, prior))
+            assert np.array_equal(_bayes_round_trip(prior, ch).vec, expected.vec), trial
 
     def test_fixed_guess_degenerates(self):
         # four letters so the uniform prior's quarters sum to exactly 1.0

@@ -48,6 +48,34 @@ ZERO_COST = {
     "stages": [{"id": "free-merge", "forward": "merge", "cost": 0.0}],
 }
 
+# 101 readings on a 2^21-bar canvas: nearly every bar is unreached, and a
+# materialized Bayes inverse would need one prior row for each of them
+WIDE_CANVAS = {
+    "meta": {"id": "wide"},
+    "alphabets": [
+        {"id": "readings", "uniform_range": {"min": 0, "max": 100, "step": 1}},
+        {"id": "bars", "uniform_range": {"min": 0, "max": 2097151, "step": 1}},
+    ],
+    "channels": [
+        {
+            "id": "plot",
+            "from": "readings",
+            "to": "bars",
+            "deterministic": {"quantizer": {"pixels": 2097152}},
+        }
+    ],
+    "stages": [{"id": "plot-stage", "forward": "plot", "recon": "bayes", "cost": 1.0}],
+    "axes": [
+        {
+            "id": "ax",
+            "nodes": [
+                {"id": "r", "kind": "data", "alphabet": "readings", "attributes": ["x"]},
+                {"id": "b", "kind": "visual", "information": 1.0},
+            ],
+        }
+    ],
+}
+
 BAD_GUESS = {
     "alphabets": [
         {
@@ -177,6 +205,14 @@ class TestAnalyze:
         code, _, err = run_cli(["analyze", str(target)], capsys)
         assert code == 1
         assert err.startswith(f"error: {path}:")
+
+    @pytest.mark.parametrize("command", ["analyze", "axis"])
+    def test_wide_canvas_exits_zero(self, command, tmp_path, capsys):
+        target = tmp_path / "wide.json"
+        target.write_text(json.dumps(WIDE_CANVAS), encoding="utf-8")
+        code, out, err = run_cli([command, str(target)], capsys)
+        assert (code, err) == (0, "")
+        assert "ax" in out
 
     def test_bad_format_is_usage_error(self, fixtures_dir, capsys):
         path = str(fixtures_dir / "route_premises_hold.json")

@@ -18,10 +18,8 @@ from absmeter import (
     abstraction_score,
     compare_routes,
     compose,
-    direct_cost_benefit,
     is_abstraction,
     is_meaningful_visual_abstraction,
-    judge,
     make_uniform,
     pipeline_cost_benefit,
     stage_cost_benefit,
@@ -98,7 +96,9 @@ class TestAbstractionScore:
             AbstractionJudgment(condition_a=True, condition_b="satisfied", score=2)
 
     def test_judge_factory_fills_score(self):
-        j = judge(True, "negated", id="g")
+        j = AbstractionJudgment(
+            True, "negated", score=abstraction_score(True, "negated"), id="g"
+        )
         assert j.score == 1
         assert j.condition_b is ConditionB.NEGATED
 
@@ -216,9 +216,8 @@ class TestPipelineCostBenefit:
 
     def test_requires_two_stages(self):
         a = uniform(4, "a")
-        p = Pipeline("short", (Stage(Channel.identity(a), cost=1.0),))
         with pytest.raises(ValueError, match="at least two stages"):
-            pipeline_cost_benefit(p)
+            Pipeline("short", (Stage(Channel.identity(a), cost=1.0),))
 
     def test_rejects_broken_chains(self):
         a, b = uniform(4, "a"), uniform(2, "b")
@@ -271,7 +270,7 @@ class TestPipelineCostBenefit:
 class TestDirectCostBenefit:
     def test_defaults_to_source_distribution(self, route_setup):
         readings, charts, verdicts, pipeline, direct = route_setup
-        report = direct_cost_benefit(direct)
+        report = stage_cost_benefit(direct, direct.forward.source.pmf)
         assert abs(report.input_entropy - 3.0) <= 1e-12
         assert abs(report.stages[0].potential_distortion - 2.0) <= 1e-12
         assert report.benefit == 0.0
@@ -279,21 +278,22 @@ class TestDirectCostBenefit:
 
     def test_lossless_stage_with_bayes_recon(self):
         a, b = uniform(4, "a"), uniform(2, "b")
-        report = direct_cost_benefit(Stage(merge_by_pairs(a, b), cost=2.0))
+        stage = Stage(merge_by_pairs(a, b), cost=2.0)
+        report = stage_cost_benefit(stage, a.pmf)
         assert report.stages[0].potential_distortion <= 1e-12
         assert abs(report.benefit - 1.0) <= 1e-12
 
     def test_cost_rescales_ratio(self):
         a, b = uniform(4, "a"), uniform(2, "b")
         f = merge_by_pairs(a, b)
-        r1 = direct_cost_benefit(Stage(f, cost=1.0)).ratio
-        r10 = direct_cost_benefit(Stage(f, cost=10.0)).ratio
+        r1 = stage_cost_benefit(Stage(f, cost=1.0), a.pmf).ratio
+        r10 = stage_cost_benefit(Stage(f, cost=10.0), a.pmf).ratio
         assert abs(r1 - 10.0 * r10) <= 1e-12
 
     def test_explicit_prior_overrides_declared(self):
         a, b = uniform(4, "a"), uniform(2, "b")
         skew = Pmf({"a0": 0.97, "a1": 0.01, "a2": 0.01, "a3": 0.01})
-        report = direct_cost_benefit(Stage(merge_by_pairs(a, b), cost=1.0), skew)
+        report = stage_cost_benefit(Stage(merge_by_pairs(a, b), cost=1.0), skew)
         assert report.input_entropy < 1.0
 
 
