@@ -17,7 +17,6 @@ from .alphabet import (
     kl_divergence,
     make_quantized_range,
     make_uniform,
-    validate,
 )
 from .axis import (
     AbstractionAxis,
@@ -79,7 +78,6 @@ __all__ = [
     "kl_divergence",
     "make_quantized_range",
     "make_uniform",
-    "validate",
     "Channel",
     "alphabet_compression",
     "bayes_inverse",

@@ -1,16 +1,18 @@
 """Finite alphabets, probability mass functions, entropy, and divergence.
 
-An alphabet is a finite ordered collection of letters (datasets, rendered
+An alphabet is a finite ordered sequence of letter ids (datasets, rendered
 images, task outcomes, ...) together with a probability mass function over
-exactly those letters. All information quantities are measured in bits
+exactly those ids. All information quantities are measured in bits
 (base-2 logarithm) with the convention 0 * log2(0) = 0. Divergence terms
 with q > 0 against p = 0 yield positive infinity, which is an ordinary
 result value here, not an error.
 
-Alphabets built from a numeric grid (`make_quantized_range`) keep their grid
-values in a dense array so that quantizing channels can be constructed
-without touching per-letter objects; this is what keeps exact summation over
-about a million letters fast.
+No per-letter objects are kept. An alphabet's pmf shares its id sequence,
+and the pmf holds the one id-to-position index. An alphabet built from a
+numeric grid (`make_quantized_range`) has the ids ``range(n)`` plus its grid
+values in a dense array, so quantizing channels are built without touching
+any per-letter state; this is what keeps exact summation over about a
+million letters fast.
 """
 
 from __future__ import annotations
@@ -32,10 +34,9 @@ POINTWISE_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class Letter:
-    """One element of an alphabet: an opaque id plus an optional label."""
+    """One element of an alphabet, identified by an opaque id."""
 
     id: LetterId
-    label: str | None = None
 
 
 class Pmf:
@@ -98,11 +99,26 @@ class Pmf:
             self._index = {lid: i for i, lid in enumerate(self._ids)}
         return self._index
 
+    def position(self, letter_id: LetterId) -> int | None:
+        """Position of ``letter_id`` in `ids`, or None when it is not one."""
+        ids = self._ids
+        if isinstance(ids, range):
+            if isinstance(letter_id, int) and not isinstance(letter_id, bool) and letter_id in ids:
+                return (letter_id - ids.start) // ids.step
+            return None
+        index = self._index
+        if index is None:
+            index = self._ensure_index()
+        return index.get(letter_id)
+
     def __getitem__(self, letter_id: LetterId) -> float:
-        return float(self._vec[self._ensure_index()[letter_id]])
+        i = self.position(letter_id)
+        if i is None:
+            raise KeyError(letter_id)
+        return float(self._vec[i])
 
     def __contains__(self, letter_id: LetterId) -> bool:
-        return letter_id in self._ensure_index()
+        return self.position(letter_id) is not None
 
     def items(self) -> Iterator[tuple[LetterId, float]]:
         for lid, p in zip(self._ids, self._vec):
@@ -169,7 +185,7 @@ class Pmf:
         return f"Pmf(letters={len(self)}, mass={self.mass():.6f})"
 
 
-def _label_decimals(step: float) -> int:
+def _step_decimals(step: float) -> int:
     # smallest number of decimals that renders the grid step exactly
     s = step
     for d in range(13):
@@ -180,94 +196,46 @@ def _label_decimals(step: float) -> int:
 
 
 class Alphabet:
-    """Ordered letters plus a pmf over exactly those letters.
+    """Ordered letter ids plus a pmf over exactly those ids.
 
-    Two construction paths exist. Explicit letters go through ``__init__``;
-    numeric grids go through `make_quantized_range`, which stores integer
-    letter ids (0..n-1) plus a value array and formats per-letter labels
-    lazily. Instances are treated as immutable after construction.
+    ``letter_ids`` is a tuple, or ``range(n)`` for a grid; ``values`` holds
+    a grid's values and is None otherwise. A given pmf is stored reordered
+    to ``letter_ids``, so ``pmf.ids is letter_ids`` always holds; a pmf over
+    other ids is refused. Instances are treated as immutable after
+    construction.
     """
 
-    __slots__ = ("id", "_ids", "_values", "_labels", "_decimals", "pmf", "_index", "_letters")
+    __slots__ = ("id", "letter_ids", "values", "pmf")
 
-    def __init__(self, id: str, letters: Iterable[Letter], pmf: Pmf | None = None):
-        letters = tuple(letters)
-        if not letters:
+    def __init__(self, id: str, letter_ids: Iterable[LetterId], pmf: Pmf | None = None):
+        if not isinstance(letter_ids, range):
+            letter_ids = tuple(letter_ids)
+        n = len(letter_ids)
+        if not n:
             raise ValueError(f"alphabet '{id}' has no letters")
-        ids = tuple(letter.id for letter in letters)
-        if len(set(ids)) != len(ids):
+        if not isinstance(letter_ids, range) and len(set(letter_ids)) != n:
             raise ValueError(f"alphabet '{id}' has duplicate letter ids")
-        self.id = id
-        self._ids: Sequence[LetterId] = ids
-        self._values: np.ndarray | None = None
-        self._labels = {letter.id: letter.label for letter in letters if letter.label is not None}
-        self._decimals: int | None = None
-        self._letters: tuple[Letter, ...] | None = letters
-        self._index: dict[LetterId, int] | None = None
         if pmf is None:
-            pmf = Pmf.from_vector(ids, np.full(len(ids), 1.0 / len(ids)))
-        self.pmf = pmf
-
-    @classmethod
-    def _from_grid(cls, id: str, values: np.ndarray, decimals: int) -> Alphabet:
-        self = cls.__new__(cls)
+            pmf = Pmf.from_vector(letter_ids, np.full(n, 1.0 / n))
+        elif pmf.ids is not letter_ids:
+            pmf = Pmf.from_vector(letter_ids, pmf.aligned_to(letter_ids))
         self.id = id
-        self._ids = range(len(values))
-        values = np.asarray(values, dtype=np.float64)
-        values.flags.writeable = False
-        self._values = values
-        self._labels = {}
-        self._decimals = decimals
-        self._letters = None
-        self._index = None
-        n = len(values)
-        self.pmf = Pmf.from_vector(self._ids, np.full(n, 1.0 / n))
-        return self
+        self.letter_ids: Sequence[LetterId] = letter_ids
+        self.values: np.ndarray | None = None
+        self.pmf = pmf
 
     @property
     def n_letters(self) -> int:
-        return len(self._ids)
-
-    @property
-    def letter_ids(self) -> Sequence[LetterId]:
-        return self._ids
-
-    @property
-    def values(self) -> np.ndarray | None:
-        """Grid values for quantized-range alphabets, else None."""
-        return self._values
-
-    @property
-    def letters(self) -> tuple[Letter, ...]:
-        if self._letters is None:
-            self._letters = tuple(
-                Letter(i, self.label_of(i)) for i in self._ids
-            )
-        return self._letters
-
-    def label_of(self, letter_id: LetterId) -> str | None:
-        if self._values is not None:
-            i = self.index_of(letter_id)
-            return f"{self._values[i]:.{self._decimals}f}"
-        return self._labels.get(letter_id)
+        return len(self.letter_ids)
 
     def has_letter(self, letter_id: LetterId) -> bool:
-        ids = self._ids
-        if isinstance(ids, range):
-            return isinstance(letter_id, int) and not isinstance(letter_id, bool) and letter_id in ids
-        if self._index is None:
-            self._index = {lid: i for i, lid in enumerate(ids)}
-        return letter_id in self._index
+        return self.pmf.position(letter_id) is not None
 
     def index_of(self, letter_id: LetterId) -> int:
-        ids = self._ids
-        if isinstance(ids, range):
-            if isinstance(letter_id, int) and not isinstance(letter_id, bool) and letter_id in ids:
-                return ids.index(letter_id)
+        i = self.pmf.position(letter_id)
+        if i is None:
             raise KeyError(letter_id)
-        if self._index is None:
-            self._index = {lid: i for i, lid in enumerate(ids)}
-        return self._index[letter_id]
+        return i
 
     def __repr__(self) -> str:
         return f"Alphabet({self.id!r}, letters={self.n_letters})"
@@ -275,7 +243,7 @@ class Alphabet:
 
 def make_uniform(letters: Iterable[Letter], id: str = "uniform") -> Alphabet:
     """Alphabet over the given letters with equal mass on each."""
-    return Alphabet(id, letters)
+    return Alphabet(id, (letter.id for letter in letters))
 
 
 def make_quantized_range(
@@ -290,8 +258,7 @@ def make_quantized_range(
     The span (hi - lo) must be an integer multiple of step to within a
     relative 1e-6; the letter count is round((hi - lo) / step) + 1 and, when
     ``max_letters`` is given, may not exceed it. Letter ids are the grid
-    indices 0..n-1 and each letter's label is its value rendered at the
-    grid's precision.
+    indices 0..n-1; ``values`` holds the grid rounded to the step's decimals.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
         raise ValueError("grid bounds and step must be finite")
@@ -309,9 +276,12 @@ def make_quantized_range(
         raise ValueError(
             f"span {hi - lo!r} is not an integer multiple of step {step!r}"
         )
-    decimals = _label_decimals(step)
-    values = np.round(lo + step * np.arange(n_steps + 1), decimals)
-    return Alphabet._from_grid(id, values, decimals)
+    grid_points = lo + step * np.arange(n_steps + 1, dtype=np.float64)
+    values = np.round(grid_points, _step_decimals(step))
+    values.flags.writeable = False
+    grid = Alphabet(id, range(n_steps + 1))
+    grid.values = values
+    return grid
 
 
 def entropy(a: Alphabet | Pmf) -> float:
@@ -347,30 +317,3 @@ def kl_divergence(q: Pmf, p: Pmf) -> float:
     qs = qv[support]
     # log difference, not log of ratio: q/p can overflow when p is denormal
     return float(np.dot(qs, np.log2(qs) - np.log2(pv[support])))
-
-
-def validate(a: Alphabet) -> list[str]:
-    """Collect every violation of the alphabet contract; empty means valid.
-
-    Checks letter-id uniqueness, pmf key agreement, non-negative mass, and
-    total mass within MASS_TOLERANCE of one. Never raises on bad content.
-    """
-    problems = list(a.pmf.violations())
-    pmf_ids = a.pmf.ids
-    alpha_ids = a.letter_ids
-    same = pmf_ids is alpha_ids
-    if not same:
-        if len(pmf_ids) != len(alpha_ids):
-            problems.append(
-                f"pmf covers {len(pmf_ids)} letters, alphabet has {len(alpha_ids)}"
-            )
-        else:
-            alpha_set = set(alpha_ids)
-            extra = [lid for lid in pmf_ids if lid not in alpha_set]
-            for lid in extra[:8]:
-                problems.append(f"pmf key {lid!r} is not a letter of alphabet '{a.id}'")
-            if len(extra) > 8:
-                problems.append(f"{len(extra) - 8} further pmf keys are not letters")
-            if not extra and len(set(pmf_ids)) != len(alpha_set):
-                problems.append("pmf keys repeat letter ids")
-    return problems

@@ -119,6 +119,7 @@ class Channel:
                     f"channel '{id}': map key {key!r} is not a letter of '{source.id}'"
                 )
         image = np.empty(n_in, dtype=np.intp)
+        position = target.pmf.position
         for i, lid in enumerate(source.letter_ids):
             try:
                 out = mapping[lid]
@@ -126,13 +127,13 @@ class Channel:
                 raise ValueError(
                     f"channel '{id}': no image for source letter {lid!r}"
                 ) from None
-            try:
-                image[i] = target.index_of(out)
-            except KeyError:
+            k = position(out)
+            if k is None:
                 raise ValueError(
                     f"channel '{id}': image {out!r} of {lid!r} is not a letter of "
                     f"'{target.id}'"
-                ) from None
+                )
+            image[i] = k
         return cls._from_targets(id, source, target, image)
 
     @classmethod
@@ -192,6 +193,7 @@ class Channel:
         sizes = np.zeros(n_in, dtype=np.intp)
         col_chunks: list[np.ndarray] = []
         val_chunks: list[np.ndarray] = []
+        position = target.pmf.position
         for i, lid in enumerate(source.letter_ids):
             try:
                 row = rows[lid]
@@ -202,13 +204,13 @@ class Channel:
             cols = np.empty(len(row), dtype=np.intp)
             vals = np.empty(len(row), dtype=np.float64)
             for j, (out, p) in enumerate(row.items()):
-                try:
-                    cols[j] = target.index_of(out)
-                except KeyError:
+                k = position(out)
+                if k is None:
                     raise ValueError(
                         f"channel '{id}': row {lid!r} refers to {out!r}, not a letter "
                         f"of '{target.id}'"
-                    ) from None
+                    )
+                cols[j] = k
                 p = float(p)
                 if p < 0.0:
                     raise ValueError(

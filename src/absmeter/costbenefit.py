@@ -245,7 +245,7 @@ def _ratio(benefit: float, cost: float) -> float:
     return 0.0
 
 
-def _evaluate(stage: Stage, prior: Pmf) -> tuple[StageMetrics, Pmf, float, float]:
+def _evaluate(stage: Stage, prior: Pmf) -> tuple[StageMetrics, Pmf]:
     h_in = entropy(prior)
     out = push_forward(prior, stage.forward)
     h_out = entropy(out)
@@ -268,19 +268,19 @@ def _evaluate(stage: Stage, prior: Pmf) -> tuple[StageMetrics, Pmf, float, float
         cost=stage.cost,
         ratio=_ratio(benefit, stage.cost),
     )
-    return metrics, out, h_in, h_out
+    return metrics, out
 
 
 def stage_cost_benefit(stage: Stage, prior: Pmf) -> CostBenefitReport:
     """Evaluate one stage under an explicit input distribution."""
-    metrics, _, h_in, h_out = _evaluate(stage, prior)
+    metrics, _ = _evaluate(stage, prior)
     return CostBenefitReport(
         stages=(metrics,),
         benefit=metrics.benefit,
         cost=metrics.cost,
         ratio=metrics.ratio,
-        input_entropy=h_in,
-        output_entropy=h_out,
+        input_entropy=metrics.input_entropy,
+        output_entropy=metrics.output_entropy,
     )
 
 
@@ -291,17 +291,13 @@ def pipeline_cost_benefit(pipeline: Pipeline) -> CostBenefitReport:
     benefit is the sum of stage compressions minus the sum of stage
     distortions, which must telescope to H(first) - H(last) - sum PD.
     """
-    prior = pipeline.effective_prior
     collected: list[StageMetrics] = []
-    current = prior
-    h_first: float | None = None
-    h_last = 0.0
+    current = pipeline.effective_prior
     for stage in pipeline.stages:
-        metrics, current, h_in, h_out = _evaluate(stage, current)
-        if h_first is None:
-            h_first = h_in
-        h_last = h_out
+        metrics, current = _evaluate(stage, current)
         collected.append(metrics)
+    h_first = collected[0].input_entropy
+    h_last = collected[-1].output_entropy
     ac_sum = sum(m.alphabet_compression for m in collected)
     pd_sum = sum(m.potential_distortion for m in collected)
     cost_sum = sum(m.cost for m in collected)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
-from .alphabet import Alphabet, Letter, LetterId, Pmf, entropy, make_quantized_range, validate
+from .alphabet import Alphabet, LetterId, Pmf, entropy, make_quantized_range
 from .axis import AbstractionAxis, NodeKind, RepresentationNode
 from .channel import MAX_DETERMINISTIC_LETTERS, Channel, _same_letters
 from .costbenefit import (
@@ -88,9 +88,13 @@ def _as_bool(value: Any, path: str) -> bool:
 def _as_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond float range
+        number = math.inf
+    if not math.isfinite(number):
         _fail(path, f"expected a finite number, got {value!r}")
-    return float(value)
+    return number
 
 
 def _as_int(value: Any, path: str) -> int:
@@ -112,16 +116,17 @@ def _check_keys(obj: dict, path: str, required: tuple, optional: tuple = ()) -> 
 def _letter_key(alphabet: Alphabet, key: Any, path: str) -> LetterId:
     # JSON object keys are strings even when an alphabet uses integer ids
     if isinstance(key, (str, int)) and not isinstance(key, bool):
-        if alphabet.has_letter(key):
+        position = alphabet.pmf.position
+        if position(key) is not None:
             return key
         if isinstance(key, str):
             try:
                 as_int = int(key)
             except ValueError:
                 as_int = None
-            if as_int is not None and alphabet.has_letter(as_int):
+            if as_int is not None and position(as_int) is not None:
                 return as_int
-        elif alphabet.has_letter(str(key)):
+        elif position(str(key)) is not None:
             return str(key)
     _fail(path, f"{key!r} is not a letter of alphabet '{alphabet.id}'")
 
@@ -140,7 +145,6 @@ class Scenario:
     """A validated scenario: built objects plus the normalized declaration."""
 
     id: str
-    meta: dict
     alphabets: dict[str, Alphabet]
     channels: dict[str, Channel]
     stages: dict[str, Stage]
@@ -176,7 +180,7 @@ def _build_alphabet(decl: Any, path: str) -> Alphabet:
                 f"{n} letters is more than the {MAX_DETERMINISTIC_LETTERS} "
                 "any channel accepts",
             )
-        return Alphabet(aid, (Letter(str(i)) for i in range(n)))
+        return Alphabet(aid, tuple(map(str, range(n))))
     if mode == "uniform_range":
         spec = _as_obj(decl["uniform_range"], f"{path}.uniform_range")
         _check_keys(spec, f"{path}.uniform_range", ("min", "max", "step"))
@@ -192,9 +196,8 @@ def _build_alphabet(decl: Any, path: str) -> Alphabet:
     entries = _as_list(decl["letters"], f"{path}.letters")
     if not entries:
         _fail(f"{path}.letters", "alphabet needs at least one letter")
-    letters: list[Letter] = []
-    probs: dict[LetterId, float] = {}
-    with_prob = 0
+    ids: list[LetterId] = []
+    probs: list[float] = []
     for i, entry in enumerate(entries):
         epath = f"{path}.letters[{i}]"
         entry = _as_obj(entry, epath)
@@ -202,24 +205,22 @@ def _build_alphabet(decl: Any, path: str) -> Alphabet:
         lid = entry["id"]
         if isinstance(lid, bool) or not isinstance(lid, (str, int)):
             _fail(f"{epath}.id", f"letter id must be a string or integer, got {lid!r}")
-        label = None
-        if "label" in entry:
-            label = _as_str(entry["label"], f"{epath}.label")
-        letters.append(Letter(lid, label))
+        if "label" in entry:  # kept in the declaration only
+            _as_str(entry["label"], f"{epath}.label")
+        ids.append(lid)
         if "probability" in entry:
-            probs[lid] = _as_number(entry["probability"], f"{epath}.probability")
-            with_prob += 1
-    if with_prob and with_prob != len(entries):
+            probs.append(_as_number(entry["probability"], f"{epath}.probability"))
+    if probs and len(probs) != len(entries):
         _fail(
             f"{path}.letters",
             "either every letter carries a probability or none do",
         )
+    ids = tuple(ids)
     try:
-        pmf = Pmf(probs) if with_prob else None
-        built = Alphabet(aid, letters, pmf)
+        built = Alphabet(aid, ids, Pmf.from_vector(ids, probs) if probs else None)
     except ValueError as e:
         _fail(path, str(e))
-    problems = validate(built)
+    problems = built.pmf.violations()
     if problems:
         _fail(path, "; ".join(problems))
     return built
@@ -553,7 +554,6 @@ def parse_scenario(data: Mapping, name: str = "scenario") -> Scenario:
     scenario_id = meta.get("id", name)
     return Scenario(
         id=scenario_id,
-        meta=copy.deepcopy(meta),
         alphabets=alphabets,
         channels=channels,
         stages=stages,
@@ -568,7 +568,7 @@ def parse_scenario(data: Mapping, name: str = "scenario") -> Scenario:
 def loads_scenario(text: str, name: str = "scenario") -> Scenario:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also over-long integers
         raise ScenarioError("$", f"not valid JSON: {e}") from None
     return parse_scenario(data, name=name)
 

@@ -24,11 +24,11 @@ def random_weights(rng, n, allow_zeros=True):
 
 
 def random_alphabet(rng, n, tag, uniform=False):
-    ls = make_letters(n, tag)
+    ids = tuple(l.id for l in make_letters(n, tag))
     if uniform:
-        return Alphabet(tag, ls)
+        return Alphabet(tag, ids)
     probs = random_weights(rng, n)
-    return Alphabet(tag, ls, pmf=Pmf({l.id: float(p) for l, p in zip(ls, probs)}))
+    return Alphabet(tag, ids, pmf=Pmf({lid: float(p) for lid, p in zip(ids, probs)}))
 
 
 def random_prior(rng, alphabet, allow_zeros=True):

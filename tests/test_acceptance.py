@@ -114,13 +114,13 @@ class TestAcceptance:
                     _, q_dict = builders.random_prior(
                         rng, alphabet, allow_zeros=False
                     )
-                q = Pmf({l.id: q_dict[l.id] for l in alphabet.letters})
+                q = Pmf({x: q_dict[x] for x in alphabet.letter_ids})
 
                 kl = kl_divergence(q, p)
                 assert kl >= -1e-12
                 equal = all(
-                    abs(q_dict[l.id] - p_dict[l.id]) <= 1e-12
-                    for l in alphabet.letters
+                    abs(q_dict[x] - p_dict[x]) <= 1e-12
+                    for x in alphabet.letter_ids
                 )
                 assert (kl < 1e-12) == equal
                 checked += 1

@@ -14,7 +14,6 @@ from absmeter import (
     kl_divergence,
     make_quantized_range,
     make_uniform,
-    validate,
 )
 
 
@@ -56,20 +55,18 @@ class TestQuantizedRange:
         assert a.n_letters == 1_000_001
         assert a.values[0] == 0.0
         assert a.values[-1] == 10000.0
-        assert a.label_of(0) == "0.00"
-        assert a.label_of(1) == "0.01"
-        assert a.label_of(1_000_000) == "10000.00"
+        assert a.values[1] == 0.01
+        assert a.values[1_000_000] == 10000.0
         assert abs(a.pmf.mass() - 1.0) <= 1e-9
 
     def test_integer_grid(self):
         a = make_quantized_range(0, 100, 1)
         assert a.n_letters == 101
-        assert a.label_of(100) == "100"
+        assert a.values[100] == 100.0
 
     def test_half_step_grid(self):
         a = make_quantized_range(0, 1, 0.5)
         assert list(a.values) == [0.0, 0.5, 1.0]
-        assert a.label_of(1) == "0.5"
 
     def test_single_point_grid(self):
         a = make_quantized_range(3.0, 3.0, 1.0)
@@ -198,18 +195,31 @@ class TestKlDivergence:
             kl_divergence(Pmf({"a": 1.0}), Pmf({"b": 1.0}))
 
 
+class TestAlphabet:
+    def test_pmf_is_stored_in_letter_order(self):
+        a = Alphabet("a", ("x", "y"), pmf=Pmf({"y": 0.75, "x": 0.25}))
+        assert a.pmf.ids is a.letter_ids
+        assert list(a.pmf.vec) == [0.25, 0.75]
+
+    def test_position_misses_without_raising(self):
+        assert Pmf({"a": 1.0}).position("b") is None
+        grid = make_quantized_range(0, 10, 1).pmf
+        assert grid.position(4) == 4
+        assert grid.position("4") is None
+        assert grid.position(True) is None
+
+
 class TestValidate:
     def test_clean_alphabet(self):
-        assert validate(uniform(4)) == []
+        assert uniform(4).pmf.violations() == []
 
     def test_reports_pmf_problems(self):
-        a = Alphabet("bad", [Letter("a"), Letter("b")], pmf=Pmf({"a": 0.4, "b": 0.5}))
-        assert any("mass sums to" in msg for msg in validate(a))
+        a = Alphabet("bad", ("a", "b"), pmf=Pmf({"a": 0.4, "b": 0.5}))
+        assert any("mass sums to" in msg for msg in a.pmf.violations())
 
     def test_reports_key_mismatch(self):
-        a = Alphabet("bad", [Letter("a"), Letter("b")], pmf=Pmf({"a": 0.5, "q": 0.5}))
-        problems = validate(a)
-        assert any("q" in msg for msg in problems)
+        with pytest.raises(ValueError, match="no letter 'b'"):
+            Alphabet("bad", ("a", "b"), pmf=Pmf({"a": 0.5, "q": 0.5}))
 
 
 @st.composite

@@ -15,6 +15,9 @@ from absmeter.cli import main
 
 MODULE = [sys.executable, "-m", "absmeter"]
 
+# an integer beyond float range
+HUGE = 10**400
+
 
 def run_cli(argv, capsys):
     code = main(argv)
@@ -342,6 +345,91 @@ class TestValidate:
             "ok: 3 alphabets, 5 channels, 3 stages, 1 pipelines, "
             "0 judgments, 0 axes"
         )
+
+    @pytest.mark.parametrize(
+        "text,path",
+        [
+            ("[" * 100000 + "]" * 100000, "$"),
+            ('{"a":' * 100000 + "1" + "}" * 100000, "$"),
+            (
+                '{"alphabets": [{"id": "a", "letters": [{"id": ' + "9" * 5000 + "}]}]}",
+                "$",
+            ),
+            (
+                json.dumps(
+                    {
+                        "alphabets": [
+                            {"id": "a", "uniform_range": {"min": 0, "max": HUGE, "step": 1}}
+                        ]
+                    }
+                ),
+                "alphabets[0].uniform_range.max",
+            ),
+            (
+                json.dumps(
+                    {"alphabets": [{"id": "a", "letters": [{"id": "x", "probability": HUGE}]}]}
+                ),
+                "alphabets[0].letters[0].probability",
+            ),
+            (
+                json.dumps({**ZERO_COST, "stages": [{**ZERO_COST["stages"][0], "cost": HUGE}]}),
+                "stages[0].cost",
+            ),
+            (
+                json.dumps(
+                    {
+                        "axes": [
+                            {
+                                "id": "ax",
+                                "nodes": [{"id": "n", "kind": "data", "information": HUGE}],
+                            }
+                        ]
+                    }
+                ),
+                "axes[0].nodes[0].information",
+            ),
+        ],
+        ids=[
+            "deep-array",
+            "deep-object",
+            "long-letter-id",
+            "huge-range-max",
+            "huge-probability",
+            "huge-cost",
+            "huge-information",
+        ],
+    )
+    def test_hostile_input_exits_one_with_path(self, text, path, tmp_path, capsys):
+        target = tmp_path / "hostile.json"
+        target.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(["validate", str(target)], capsys)
+        assert code == 1
+        assert err.startswith(f"error: {path}:")
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB"
+    )
+    def test_largest_uniform_count_stays_small(self, tmp_path):
+        # 2^21 string ids and no per-letter objects
+        target = tmp_path / "big.json"
+        target.write_text(
+            json.dumps({"alphabets": [{"id": "big", "uniform_count": 2**21}]}),
+            encoding="utf-8",
+        )
+        probe = (
+            "import resource, sys; from absmeter.cli import main; "
+            "code = main(['validate', sys.argv[1]]); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024); "
+            "sys.exit(code)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe, str(target)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout.split()[-1]) <= 350
 
 
 class TestEndToEnd:

@@ -202,7 +202,7 @@ class TestAlphabetValidation:
         grid = parse(data).alphabets["grid"]
         assert grid.n_letters == 3
         # numeric grids index their letters by integer position
-        assert [letter.id for letter in grid.letters] == [0, 1, 2]
+        assert list(grid.letter_ids) == [0, 1, 2]
 
     def test_uniform_range_bad_step(self):
         data = {
@@ -231,8 +231,8 @@ class TestAlphabetValidation:
                 {"id": "named", "letters": [{"id": "a", "label": "first"}]}
             ]
         }
-        alphabet = parse(data).alphabets["named"]
-        assert alphabet.letters[0].label == "first"
+        declared = json.loads(parse(data).to_json())["alphabets"][0]
+        assert declared["letters"][0]["label"] == "first"
 
 
 class TestChannelValidation:
@@ -772,7 +772,7 @@ class TestExemplars:
         scenario = exemplar("integer-plot")
         stage = next(iter(scenario.stages.values()))
         n = stage.forward.source.n_letters
-        images = {stage.forward.image_of(l.id) for l in stage.forward.source.letters}
+        images = {stage.forward.image_of(x) for x in stage.forward.source.letter_ids}
         assert len(images) == n
 
     def test_figure_scores_judgments(self):
