@@ -368,25 +368,30 @@ def bayes_inverse(c: Channel, prior: Pmf) -> Channel:
     )
 
 
-def _bayes_round_trip(prior: Pmf, c: Channel) -> Pmf:
-    """``reconstructed_pmf(prior, c, bayes_inverse(c, prior))`` without
-    building the inverse.
+def _bayes_round_trip(prior: Pmf, c: Channel) -> tuple[Pmf, Pmf]:
+    """``push_forward(prior, c)`` and ``reconstructed_pmf(prior, c,
+    bayes_inverse(c, prior))`` from one pass over the forward entries,
+    without building the inverse.
 
-    Only reached targets carry observed mass back, so the inverse's
-    prior rows for unreached targets contribute nothing and are skipped. The
-    terms are added per source in ascending target order, as the inverse's
-    rows add them, so the result is the same float for float.
+    The joint masses and their marginal are computed once and serve both
+    results. Only reached targets carry observed mass back, so the inverse's
+    prior rows for unreached targets contribute nothing; their entries here
+    get weight zero, and adding zero leaves each non-negative sum as it was.
+    The terms are added per source in ascending target order, as the
+    inverse's rows add them, so both results are the same float for float.
     """
     prior.require_valid()
     pvec = prior.aligned_to(c.source.letter_ids)
     joint = pvec[c.rows] * c.vals
-    m = np.bincount(c.cols, weights=joint, minlength=c.target.n_letters)[c.cols]
-    keep = m > 0.0
+    marginal = np.bincount(c.cols, weights=joint, minlength=c.target.n_letters)
+    m = marginal[c.cols]
     # m * (joint / m) rather than joint: the inverse stores joint / m
-    q = np.bincount(
-        c.rows[keep], weights=m[keep] * (joint[keep] / m[keep]), minlength=c.source.n_letters
+    back = m * np.divide(joint, m, out=np.zeros_like(joint), where=m > 0.0)
+    q = np.bincount(c.rows, weights=back, minlength=c.source.n_letters)
+    return (
+        Pmf.from_vector(c.target.letter_ids, marginal),
+        Pmf.from_vector(c.source.letter_ids, q),
     )
-    return Pmf.from_vector(c.source.letter_ids, q)
 
 
 def reconstructed_pmf(prior: Pmf, forward: Channel, recon: Channel) -> Pmf:

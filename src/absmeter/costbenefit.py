@@ -15,6 +15,12 @@ direct stage over the same endpoints and reports whether the premises that
 favor the pipeline (higher direct cost, higher direct distortion, additive
 compression) actually hold before comparing the two ratios.
 
+A stage evaluation computes the output distribution and, for a Bayes
+stage, the reconstructed one from one pass over the forward channel's
+entries. The three public evaluators each start from nothing; `analyze`
+shares one `_Evaluator` across its sections, so each (stage, input
+distribution) pair it meets is evaluated once.
+
 Scoring of whether a representation qualifies as an abstraction follows a
 two-condition scheme: condition A (is it a representation produced by a
 process that discards detail) is worth 2, condition B (is the mapping
@@ -32,7 +38,6 @@ from .alphabet import Pmf, entropy, kl_divergence
 from .channel import (
     Channel,
     alphabet_compression,
-    potential_distortion,
     push_forward,
     _bayes_round_trip,
     _same_letters,
@@ -247,13 +252,14 @@ def _ratio(benefit: float, cost: float) -> float:
 
 def _evaluate(stage: Stage, prior: Pmf) -> tuple[StageMetrics, Pmf]:
     h_in = entropy(prior)
-    out = push_forward(prior, stage.forward)
+    if isinstance(stage.recon, str):
+        out, back = _bayes_round_trip(prior, stage.forward)
+    else:
+        out = push_forward(prior, stage.forward)
+        back = push_forward(out, stage.recon)
     h_out = entropy(out)
     ac = h_in - h_out
-    if isinstance(stage.recon, str):
-        pd = kl_divergence(_bayes_round_trip(prior, stage.forward), prior)
-    else:
-        pd = potential_distortion(prior, stage.forward, stage.recon)
+    pd = kl_divergence(back, prior)
     benefit = ac - pd
     metrics = StageMetrics(
         stage_id=stage.id,
@@ -271,17 +277,111 @@ def _evaluate(stage: Stage, prior: Pmf) -> tuple[StageMetrics, Pmf]:
     return metrics, out
 
 
+class _Evaluator:
+    """Stage, pipeline and route evaluation that evaluates each (stage,
+    input pmf) pair once.
+
+    The memo is keyed by the stage and pmf objects themselves, so it keeps
+    them alive and a later object cannot take over a key. A hit returns the
+    same output pmf, so a pipeline walked a second time hits at every stage.
+    The memo lives as long as the evaluator: one public call, or one
+    `analyze`.
+    """
+
+    def __init__(self):
+        self._done: dict[tuple[Stage, Pmf], tuple[StageMetrics, Pmf]] = {}
+
+    def _evaluate_once(self, stage: Stage, prior: Pmf) -> tuple[StageMetrics, Pmf]:
+        key = (stage, prior)
+        done = self._done.get(key)
+        if done is None:
+            done = self._done[key] = _evaluate(stage, prior)
+        return done
+
+    def stage(self, stage: Stage, prior: Pmf) -> CostBenefitReport:
+        metrics, _ = self._evaluate_once(stage, prior)
+        return CostBenefitReport(
+            stages=(metrics,),
+            benefit=metrics.benefit,
+            cost=metrics.cost,
+            ratio=metrics.ratio,
+            input_entropy=metrics.input_entropy,
+            output_entropy=metrics.output_entropy,
+        )
+
+    def pipeline(self, pipeline: Pipeline) -> CostBenefitReport:
+        collected: list[StageMetrics] = []
+        current = pipeline.effective_prior
+        for stage in pipeline.stages:
+            metrics, current = self._evaluate_once(stage, current)
+            collected.append(metrics)
+        h_first = collected[0].input_entropy
+        h_last = collected[-1].output_entropy
+        ac_sum = sum(m.alphabet_compression for m in collected)
+        pd_sum = sum(m.potential_distortion for m in collected)
+        cost_sum = sum(m.cost for m in collected)
+        gap = abs(ac_sum - (h_first - h_last))
+        if not gap <= TELESCOPE_TOLERANCE:
+            raise RuntimeError(
+                f"pipeline '{pipeline.id}': stage compressions sum to {ac_sum!r} but "
+                f"entropy drop is {h_first - h_last!r} (gap {gap!r})"
+            )
+        benefit = ac_sum - pd_sum
+        return CostBenefitReport(
+            stages=tuple(collected),
+            benefit=benefit,
+            cost=cost_sum,
+            ratio=_ratio(benefit, cost_sum),
+            input_entropy=h_first,
+            output_entropy=h_last,
+        )
+
+    def route(self, via_stages: Pipeline, direct: Stage) -> RouteComparison:
+        first = via_stages.stages[0].forward.source
+        last = via_stages.stages[-1].forward.target
+        if not _same_letters(first, direct.forward.source):
+            raise ValueError(
+                f"route comparison: pipeline starts from '{first.id}' but the direct "
+                f"stage starts from '{direct.forward.source.id}'"
+            )
+        if not _same_letters(last, direct.forward.target):
+            raise ValueError(
+                f"route comparison: pipeline ends in '{last.id}' but the direct "
+                f"stage ends in '{direct.forward.target.id}'"
+            )
+        prior = via_stages.effective_prior
+        pipeline_report = self.pipeline(via_stages)
+        direct_report = self.stage(direct, prior)
+        ac_pipeline = sum(m.alphabet_compression for m in pipeline_report.stages)
+        ac_direct = direct_report.stages[0].alphabet_compression
+        gap = abs(ac_pipeline - ac_direct)
+        pd_pipeline = sum(m.potential_distortion for m in pipeline_report.stages)
+        pd_direct = direct_report.stages[0].potential_distortion
+        cost_premise = direct.cost > pipeline_report.cost
+        distortion_premise = pd_direct > pd_pipeline
+        return RouteComparison(
+            pipeline_id=via_stages.id,
+            direct_id=direct.id,
+            pipeline=pipeline_report,
+            direct=direct_report,
+            compression_pipeline=ac_pipeline,
+            compression_direct=ac_direct,
+            compression_gap=gap,
+            compression_additive=gap <= TELESCOPE_TOLERANCE,
+            distortion_pipeline=pd_pipeline,
+            distortion_direct=pd_direct,
+            cost_premise_holds=cost_premise,
+            distortion_premise_holds=distortion_premise,
+            premises_satisfied=cost_premise and distortion_premise,
+            pipeline_ratio=pipeline_report.ratio,
+            direct_ratio=direct_report.ratio,
+            pipeline_preferred=pipeline_report.ratio > direct_report.ratio,
+        )
+
+
 def stage_cost_benefit(stage: Stage, prior: Pmf) -> CostBenefitReport:
     """Evaluate one stage under an explicit input distribution."""
-    metrics, _ = _evaluate(stage, prior)
-    return CostBenefitReport(
-        stages=(metrics,),
-        benefit=metrics.benefit,
-        cost=metrics.cost,
-        ratio=metrics.ratio,
-        input_entropy=metrics.input_entropy,
-        output_entropy=metrics.output_entropy,
-    )
+    return _Evaluator().stage(stage, prior)
 
 
 def pipeline_cost_benefit(pipeline: Pipeline) -> CostBenefitReport:
@@ -291,31 +391,7 @@ def pipeline_cost_benefit(pipeline: Pipeline) -> CostBenefitReport:
     benefit is the sum of stage compressions minus the sum of stage
     distortions, which must telescope to H(first) - H(last) - sum PD.
     """
-    collected: list[StageMetrics] = []
-    current = pipeline.effective_prior
-    for stage in pipeline.stages:
-        metrics, current = _evaluate(stage, current)
-        collected.append(metrics)
-    h_first = collected[0].input_entropy
-    h_last = collected[-1].output_entropy
-    ac_sum = sum(m.alphabet_compression for m in collected)
-    pd_sum = sum(m.potential_distortion for m in collected)
-    cost_sum = sum(m.cost for m in collected)
-    gap = abs(ac_sum - (h_first - h_last))
-    if not gap <= TELESCOPE_TOLERANCE:
-        raise RuntimeError(
-            f"pipeline '{pipeline.id}': stage compressions sum to {ac_sum!r} but "
-            f"entropy drop is {h_first - h_last!r} (gap {gap!r})"
-        )
-    benefit = ac_sum - pd_sum
-    return CostBenefitReport(
-        stages=tuple(collected),
-        benefit=benefit,
-        cost=cost_sum,
-        ratio=_ratio(benefit, cost_sum),
-        input_entropy=h_first,
-        output_entropy=h_last,
-    )
+    return _Evaluator().pipeline(pipeline)
 
 
 def compare_routes(via_stages: Pipeline, direct: Stage) -> RouteComparison:
@@ -327,46 +403,7 @@ def compare_routes(via_stages: Pipeline, direct: Stage) -> RouteComparison:
     The ratio ordering is only a supported conclusion when the premises
     hold; `premises_satisfied` says so.
     """
-    first = via_stages.stages[0].forward.source
-    last = via_stages.stages[-1].forward.target
-    if not _same_letters(first, direct.forward.source):
-        raise ValueError(
-            f"route comparison: pipeline starts from '{first.id}' but the direct "
-            f"stage starts from '{direct.forward.source.id}'"
-        )
-    if not _same_letters(last, direct.forward.target):
-        raise ValueError(
-            f"route comparison: pipeline ends in '{last.id}' but the direct "
-            f"stage ends in '{direct.forward.target.id}'"
-        )
-    prior = via_stages.effective_prior
-    pipeline_report = pipeline_cost_benefit(via_stages)
-    direct_report = stage_cost_benefit(direct, prior)
-    ac_pipeline = sum(m.alphabet_compression for m in pipeline_report.stages)
-    ac_direct = direct_report.stages[0].alphabet_compression
-    gap = abs(ac_pipeline - ac_direct)
-    pd_pipeline = sum(m.potential_distortion for m in pipeline_report.stages)
-    pd_direct = direct_report.stages[0].potential_distortion
-    cost_premise = direct.cost > pipeline_report.cost
-    distortion_premise = pd_direct > pd_pipeline
-    return RouteComparison(
-        pipeline_id=via_stages.id,
-        direct_id=direct.id,
-        pipeline=pipeline_report,
-        direct=direct_report,
-        compression_pipeline=ac_pipeline,
-        compression_direct=ac_direct,
-        compression_gap=gap,
-        compression_additive=gap <= TELESCOPE_TOLERANCE,
-        distortion_pipeline=pd_pipeline,
-        distortion_direct=pd_direct,
-        cost_premise_holds=cost_premise,
-        distortion_premise_holds=distortion_premise,
-        premises_satisfied=cost_premise and distortion_premise,
-        pipeline_ratio=pipeline_report.ratio,
-        direct_ratio=direct_report.ratio,
-        pipeline_preferred=pipeline_report.ratio > direct_report.ratio,
-    )
+    return _Evaluator().route(via_stages, direct)
 
 
 def is_abstraction(prior: Pmf, c: Channel) -> bool:

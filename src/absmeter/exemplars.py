@@ -19,7 +19,7 @@ scenario validation, so it behaves exactly like a loaded file.
 
 from __future__ import annotations
 
-from .scenario import Scenario, parse_scenario
+from .scenario import Scenario, _parse_owned
 
 EXEMPLAR_NAMES = ("barchart", "integer-plot", "random-plotter", "figure-scores")
 
@@ -164,4 +164,4 @@ def exemplar(name: str) -> Scenario:
         raise ValueError(
             f"unknown exemplar {name!r} (valid: {', '.join(EXEMPLAR_NAMES)})"
         ) from None
-    return parse_scenario(builder(), name=name)
+    return _parse_owned(builder(), name)

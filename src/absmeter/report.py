@@ -4,7 +4,10 @@
 plain nested structure: alphabet entropies, per-stage metrics (each declared
 stage under its source alphabet's own distribution), chained pipeline
 metrics, route comparisons, judgment scores, and axis transition
-classifications. Sections with nothing to say are omitted.
+classifications. Sections with nothing to say are omitted. One evaluator
+serves the stage, pipeline and route sections, so each (stage, input
+distribution) pair is evaluated once per call, however many sections
+report it.
 
 Each section is described once: `_STAGE_FIELDS` names every stage metric
 with its body/CSV key, table header and getter; `_FLAT` names the id and
@@ -28,12 +31,7 @@ from typing import Iterable
 
 from .alphabet import entropy
 from .axis import AbstractionAxis, detect_fork
-from .costbenefit import (
-    StageMetrics,
-    compare_routes,
-    pipeline_cost_benefit,
-    stage_cost_benefit,
-)
+from .costbenefit import StageMetrics, _Evaluator
 from .scenario import Scenario
 
 
@@ -182,6 +180,7 @@ def analyze(scenario: Scenario, pipeline_id: str | None = None) -> Report:
             f"scenario '{scenario.id}' has no pipeline '{pipeline_id}'"
         )
     body: dict = {"scenario": scenario.id}
+    evaluator = _Evaluator()
 
     if scenario.alphabets:
         body["alphabets"] = [
@@ -191,7 +190,7 @@ def analyze(scenario: Scenario, pipeline_id: str | None = None) -> Report:
 
     if scenario.stages:
         body["stages"] = [
-            _stage_dict(stage_cost_benefit(stage, stage.forward.source.pmf).stages[0])
+            _stage_dict(evaluator.stage(stage, stage.forward.source.pmf).stages[0])
             for stage in scenario.stages.values()
         ]
 
@@ -203,7 +202,7 @@ def analyze(scenario: Scenario, pipeline_id: str | None = None) -> Report:
     if selected:
         rows = []
         for pipeline in selected:
-            report = pipeline_cost_benefit(pipeline)
+            report = evaluator.pipeline(pipeline)
             stages = [
                 {**_stage_dict(m), "index": i} for i, m in enumerate(report.stages)
             ]
@@ -219,7 +218,7 @@ def analyze(scenario: Scenario, pipeline_id: str | None = None) -> Report:
     if routes:
         rows = []
         for route in routes:
-            cmp = compare_routes(scenario.pipelines[route.pipeline_id], route.stage)
+            cmp = evaluator.route(scenario.pipelines[route.pipeline_id], route.stage)
             row = {
                 "id": route.id,
                 "pipeline": cmp.pipeline_id,

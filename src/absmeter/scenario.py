@@ -131,6 +131,19 @@ def _letter_key(alphabet: Alphabet, key: Any, path: str) -> LetterId:
     _fail(path, f"{key!r} is not a letter of alphabet '{alphabet.id}'")
 
 
+def _by_letter(alphabet: Alphabet, raw: dict, path: str, value_of) -> dict:
+    """``{letter: value_of(value, path)}`` for a JSON object keyed by letters
+    of ``alphabet``. An entry's own path, ``path[key]``, is formatted only
+    when that entry fails."""
+    out = {}
+    for key, value in raw.items():
+        try:
+            out[_letter_key(alphabet, key, path)] = value_of(value, path)
+        except ScenarioError as e:
+            raise ScenarioError(f"{path}[{key!r}]", e.message) from None
+    return out
+
+
 @dataclass
 class DirectRoute:
     """A single data-to-outcome stage paired with the pipeline it rivals."""
@@ -258,10 +271,12 @@ def _build_channel(decl: Any, path: str, alphabets: dict[str, Alphabet]) -> Chan
             except ValueError as e:
                 _fail(f"{path}.deterministic.quantizer", str(e))
         raw_map = _as_obj(spec["map"], f"{path}.deterministic.map")
-        mapping = {}
-        for key, value in raw_map.items():
-            kpath = f"{path}.deterministic.map[{key!r}]"
-            mapping[_letter_key(source, key, kpath)] = _letter_key(target, value, kpath)
+        mapping = _by_letter(
+            source,
+            raw_map,
+            f"{path}.deterministic.map",
+            lambda value, vpath: _letter_key(target, value, vpath),
+        )
         try:
             return Channel.deterministic(cid, source, target, mapping)
         except ValueError as e:
@@ -273,12 +288,7 @@ def _build_channel(decl: Any, path: str, alphabets: dict[str, Alphabet]) -> Chan
     for key, row in raw_rows.items():
         kpath = f"{path}.stochastic.rows[{key!r}]"
         row = _as_obj(row, kpath)
-        rows[_letter_key(source, key, kpath)] = {
-            _letter_key(target, out, f"{kpath}[{out!r}]"): _as_number(
-                p, f"{kpath}[{out!r}]"
-            )
-            for out, p in row.items()
-        }
+        rows[_letter_key(source, key, kpath)] = _by_letter(target, row, kpath, _as_number)
     try:
         return Channel.stochastic(cid, source, target, rows)
     except ValueError as e:
@@ -323,12 +333,7 @@ def _build_pipeline(decl: Any, path: str, stages: dict[str, Stage]) -> Pipeline:
     if "prior" in decl:
         raw = _as_obj(decl["prior"], f"{path}.prior")
         first = resolved[0].forward.source
-        probs = {
-            _letter_key(first, key, f"{path}.prior[{key!r}]"): _as_number(
-                p, f"{path}.prior[{key!r}]"
-            )
-            for key, p in raw.items()
-        }
+        probs = _by_letter(first, raw, f"{path}.prior", _as_number)
         if len(probs) != first.n_letters:
             _fail(
                 f"{path}.prior",
@@ -508,8 +513,18 @@ def _build_axis(decl: Any, path: str, alphabets: dict[str, Alphabet]) -> Abstrac
 def parse_scenario(data: Mapping, name: str = "scenario") -> Scenario:
     """Validate a parsed JSON object and build every declared element.
 
-    Raises ScenarioError naming the offending JSON path on any problem.
+    Raises ScenarioError naming the offending JSON path on any problem. The
+    scenario keeps a copy of ``data``, so later changes to it do not reach
+    the scenario.
     """
+    scenario = _parse_owned(data, name)
+    scenario.declaration = copy.deepcopy(scenario.declaration)
+    return scenario
+
+
+def _parse_owned(data: Mapping, name: str) -> Scenario:
+    """`parse_scenario` for a caller that hands over ``data``: the scenario
+    keeps it as its declaration, uncopied."""
     data = _as_obj(data, "$")
     for key in data:
         if key not in _TOP_KEYS:
@@ -561,7 +576,7 @@ def parse_scenario(data: Mapping, name: str = "scenario") -> Scenario:
         direct_routes=direct_routes,
         judgments=tuple(judgments.values()),
         axes=axes,
-        declaration=copy.deepcopy(dict(data)),
+        declaration=data,
     )
 
 
@@ -570,7 +585,7 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
         data = json.loads(text)
     except (ValueError, RecursionError) as e:  # also over-long integers
         raise ScenarioError("$", f"not valid JSON: {e}") from None
-    return parse_scenario(data, name=name)
+    return _parse_owned(data, name)
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -332,15 +332,24 @@ class TestReconstruction:
             )
 
     def test_round_trip_without_inverse_is_bit_identical(self):
-        # criterion 6's channel shapes; odd trials keep every prior letter
+        # criterion 6's channel shapes, every third one composed through a
+        # middle alphabet; odd trials keep every prior letter
         rng = np.random.default_rng(0x5EED06)
         for trial in range(300):
             src = builders.random_alphabet(rng, int(rng.integers(2, 49)), "s")
             dst = builders.random_alphabet(rng, int(rng.integers(1, 49)), "t")
-            ch, _ = builders.random_channel(rng, src, dst)
+            if trial % 3 == 2:
+                mid = builders.random_alphabet(rng, int(rng.integers(1, 49)), "m")
+                first, _ = builders.random_channel(rng, src, mid)
+                second, _ = builders.random_channel(rng, mid, dst)
+                ch = compose(first, second)
+            else:
+                ch, _ = builders.random_channel(rng, src, dst)
             prior, _ = builders.random_prior(rng, src, allow_zeros=trial % 2 == 0)
+            pushed, reconstructed = _bayes_round_trip(prior, ch)
             expected = reconstructed_pmf(prior, ch, bayes_inverse(ch, prior))
-            assert np.array_equal(_bayes_round_trip(prior, ch).vec, expected.vec), trial
+            assert np.array_equal(reconstructed.vec, expected.vec), trial
+            assert np.array_equal(pushed.vec, push_forward(prior, ch).vec), trial
 
     def test_fixed_guess_degenerates(self):
         # four letters so the uniform prior's quarters sum to exactly 1.0

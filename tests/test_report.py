@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from absmeter import analyze, exemplar, load_scenario
+from absmeter import analyze, costbenefit, exemplar, load_scenario, stage_cost_benefit
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +59,51 @@ class TestBody:
         fixtures = request.path.parent / "fixtures"
         scenario = load_scenario(fixtures / "route_premises_hold.json")
         assert analyze(scenario).to_json() == analyze(scenario).to_json()
+
+
+class TestEvaluationMemo:
+    """`analyze` evaluates each (stage, input pmf) pair once; every public
+    call starts afresh."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        calls = []
+        fresh = costbenefit._evaluate
+
+        def counted(stage, prior):
+            calls.append((stage.id, id(prior)))
+            return fresh(stage, prior)
+
+        monkeypatch.setattr(costbenefit, "_evaluate", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "name", ["route_premises_hold.json", "route_cost_premise_violated.json"]
+    )
+    def test_route_fixture_evaluates_each_pair_once(self, request, evaluations, name):
+        scenario = load_scenario(request.path.parent / "fixtures" / name)
+        analyze(scenario)
+        assert len(evaluations) == 4
+        assert len(set(evaluations)) == 4
+
+    def test_barchart_evaluates_three_pairs(self, evaluations):
+        analyze(exemplar("barchart"))
+        assert len(evaluations) == 3
+
+    def test_each_analyze_evaluates_afresh(self, request, evaluations):
+        path = request.path.parent / "fixtures" / "route_premises_hold.json"
+        scenario = load_scenario(path)
+        first = analyze(scenario).to_json()
+        assert len(evaluations) == 4
+        assert analyze(scenario).to_json() == first
+        assert len(evaluations) == 8
+
+    def test_public_calls_do_not_share_evaluations(self, request, evaluations):
+        path = request.path.parent / "fixtures" / "route_premises_hold.json"
+        stage = next(iter(load_scenario(path).stages.values()))
+        prior = stage.forward.source.pmf
+        assert stage_cost_benefit(stage, prior) == stage_cost_benefit(stage, prior)
+        assert len(evaluations) == 2
 
 
 class TestJsonFormat:

@@ -17,6 +17,7 @@ from absmeter import (
     exemplar,
     load_scenario,
     loads_scenario,
+    parse_scenario,
 )
 
 
@@ -102,6 +103,15 @@ class TestRoundTrip:
         first = load_scenario(path).to_json()
         second = loads_scenario(first).to_json()
         assert second == first
+
+    def test_parse_scenario_keeps_its_own_copy(self):
+        data = minimal()
+        scenario = parse_scenario(data, name="inline")
+        before = scenario.to_json()
+        data["channels"][0]["deterministic"]["map"]["0"] = "1"
+        data["alphabets"].append({"id": "late", "uniform_count": 2})
+        data["meta"] = {"id": "renamed"}
+        assert scenario.to_json() == before
 
 
 class TestTopLevelValidation:
