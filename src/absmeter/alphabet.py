@@ -13,6 +13,11 @@ numeric grid (`make_quantized_range`) has the ids ``range(n)`` plus its grid
 values in a dense array, so quantizing channels are built without touching
 any per-letter state; this is what keeps exact summation over about a
 million letters fast.
+
+A pmf's vector is read-only. Vectors the package has just computed are
+handed to `Pmf.from_vector` already read-only and kept without a copy; a
+writeable array from a caller is copied, so later writes to it cannot reach
+the pmf. Being immutable, a pmf computes its entropy once and caches it.
 """
 
 from __future__ import annotations
@@ -45,10 +50,11 @@ class Pmf:
     Probabilities are stored as a dense float64 vector aligned with ``ids``.
     Construction records whatever it is given; `violations` reports problems
     and the numeric operations refuse to run on an invalid pmf. Instances
-    are treated as immutable after construction.
+    are treated as immutable after construction, so `entropy` caches its
+    result on the pmf once `require_valid` has passed.
     """
 
-    __slots__ = ("_ids", "_vec", "_index", "_checked")
+    __slots__ = ("_ids", "_vec", "_index", "_checked", "_entropy")
 
     def __init__(self, probabilities: Mapping[LetterId, float]):
         ids = tuple(probabilities.keys())
@@ -58,6 +64,7 @@ class Pmf:
         self._vec = vec
         self._index: dict[LetterId, int] | None = None
         self._checked = False
+        self._entropy: float | None = None
 
     @classmethod
     def from_vector(cls, ids: Sequence[LetterId], vector: np.ndarray) -> Pmf:
@@ -65,7 +72,8 @@ class Pmf:
 
         The id sequence is kept by reference (it may be a range), so shared
         sequences let later alignment checks succeed by identity instead of
-        by element-wise comparison.
+        by element-wise comparison. A read-only vector is kept as it is; a
+        writeable one is copied.
         """
         if len(ids) != len(vector):
             raise ValueError(
@@ -80,6 +88,7 @@ class Pmf:
         self._vec = vec
         self._index = None
         self._checked = False
+        self._entropy = None
         return self
 
     @property
@@ -216,7 +225,9 @@ class Alphabet:
         if not isinstance(letter_ids, range) and len(set(letter_ids)) != n:
             raise ValueError(f"alphabet '{id}' has duplicate letter ids")
         if pmf is None:
-            pmf = Pmf.from_vector(letter_ids, np.full(n, 1.0 / n))
+            uniform = np.full(n, 1.0 / n)
+            uniform.flags.writeable = False
+            pmf = Pmf.from_vector(letter_ids, uniform)
         elif pmf.ids is not letter_ids:
             pmf = Pmf.from_vector(letter_ids, pmf.aligned_to(letter_ids))
         self.id = id
@@ -276,8 +287,11 @@ def make_quantized_range(
         raise ValueError(
             f"span {hi - lo!r} is not an integer multiple of step {step!r}"
         )
-    grid_points = lo + step * np.arange(n_steps + 1, dtype=np.float64)
-    values = np.round(grid_points, _step_decimals(step))
+    # lo + step * k, rounded, computed in one buffer
+    values = np.arange(n_steps + 1, dtype=np.float64)
+    np.multiply(values, step, out=values)
+    np.add(values, lo, out=values)
+    np.round(values, _step_decimals(step), out=values)
     values.flags.writeable = False
     grid = Alphabet(id, range(n_steps + 1))
     grid.values = values
@@ -287,17 +301,18 @@ def make_quantized_range(
 def entropy(a: Alphabet | Pmf) -> float:
     """Shannon entropy in bits: -sum p * log2 p over letters with p > 0.
 
-    Computed by direct summation over the full alphabet, never sampled.
+    Computed by direct summation over the full alphabet, never sampled,
+    once per pmf: the result is cached on the (immutable) pmf.
     """
     pmf = a.pmf if isinstance(a, Alphabet) else a
     pmf.require_valid()
-    v = pmf.vec
-    v = v[v > 0.0]
-    if len(v) == 0:
-        return 0.0
-    h = -float(np.dot(v, np.log2(v)))
-    # a one-letter pmf gives -1*log2(1) = -0.0; normalize the sign
-    return h + 0.0
+    if pmf._entropy is None:
+        v = pmf.vec
+        if not v.min() > 0.0:
+            v = v[v > 0.0]
+        # a one-letter pmf gives -1*log2(1) = -0.0; normalize the sign
+        pmf._entropy = -float(np.dot(v, np.log2(v))) + 0.0
+    return pmf._entropy
 
 
 def kl_divergence(q: Pmf, p: Pmf) -> float:
@@ -311,9 +326,12 @@ def kl_divergence(q: Pmf, p: Pmf) -> float:
     p.require_valid()
     qv = q.vec
     pv = p.aligned_to(q.ids)
-    support = qv > 0.0
-    if np.any(pv[support] == 0.0):
+    if not qv.min() > 0.0:
+        support = qv > 0.0
+        qv, pv = qv[support], pv[support]
+    if not pv.min() > 0.0:
         return math.inf
-    qs = qv[support]
     # log difference, not log of ratio: q/p can overflow when p is denormal
-    return float(np.dot(qs, np.log2(qs) - np.log2(pv[support])))
+    diff = np.log2(qv)
+    np.subtract(diff, np.log2(pv), out=diff)
+    return float(np.dot(qv, diff))

@@ -13,6 +13,8 @@ deterministic channel is the case of one entry per source with value 1.
 Derived channels (Bayes inversions, compositions) may span alphabets far
 larger than the declared-channel limits; listing only the entries a channel
 can reach is what keeps the exact double summations tractable at that size.
+The pmfs the operations return take their freshly computed vectors as they
+are, marked read-only, without a copy.
 
 Measures:
 
@@ -166,8 +168,11 @@ class Channel:
         if pixels == 1 or hi == lo:
             image = np.zeros(source.n_letters, dtype=np.intp)
         else:
-            scaled = (values - lo) * ((pixels - 1) / (hi - lo))
-            image = np.floor(scaled + 0.5).astype(np.intp)
+            # floor((v - lo) * scale + 0.5), computed in one buffer
+            scaled = np.subtract(values, lo)
+            np.multiply(scaled, (pixels - 1) / (hi - lo), out=scaled)
+            np.add(scaled, 0.5, out=scaled)
+            image = np.floor(scaled, out=scaled).astype(np.intp)
         return cls._from_targets(id, source, target, image)
 
     @classmethod
@@ -309,6 +314,7 @@ def push_forward(prior: Pmf, c: Channel) -> Pmf:
     pvec = prior.aligned_to(c.source.letter_ids)
     weights = pvec[c.rows] * c.vals
     out = np.bincount(c.cols, weights=weights, minlength=c.target.n_letters)
+    out.flags.writeable = False
     return Pmf.from_vector(c.target.letter_ids, out)
 
 
@@ -379,15 +385,25 @@ def _bayes_round_trip(prior: Pmf, c: Channel) -> tuple[Pmf, Pmf]:
     get weight zero, and adding zero leaves each non-negative sum as it was.
     The terms are added per source in ascending target order, as the
     inverse's rows add them, so both results are the same float for float.
+    With one entry per source (every deterministic channel) the entries are
+    the sources in order, so the gather and the per-source sum drop out;
+    ``back + 0.0`` turns a -0.0 into 0.0 as summing from zero does.
     """
     prior.require_valid()
     pvec = prior.aligned_to(c.source.letter_ids)
-    joint = pvec[c.rows] * c.vals
+    one_per_source = len(c.rows) == c.source.n_letters
+    joint = (pvec if one_per_source else pvec[c.rows]) * c.vals
     marginal = np.bincount(c.cols, weights=joint, minlength=c.target.n_letters)
     m = marginal[c.cols]
     # m * (joint / m) rather than joint: the inverse stores joint / m
-    back = m * np.divide(joint, m, out=np.zeros_like(joint), where=m > 0.0)
-    q = np.bincount(c.rows, weights=back, minlength=c.source.n_letters)
+    back = np.divide(joint, m, out=np.zeros_like(joint), where=m > 0.0)
+    np.multiply(back, m, out=back)
+    if one_per_source:
+        q = np.add(back, 0.0, out=back)
+    else:
+        q = np.bincount(c.rows, weights=back, minlength=c.source.n_letters)
+    marginal.flags.writeable = False
+    q.flags.writeable = False
     return (
         Pmf.from_vector(c.target.letter_ids, marginal),
         Pmf.from_vector(c.source.letter_ids, q),

@@ -21,7 +21,7 @@ from pathlib import Path
 from .costbenefit import ConditionB, abstraction_score
 from .exemplars import EXEMPLAR_NAMES, exemplar
 from .report import _FORMATS, _axis_sections, _fork_text, _transition_text, analyze
-from .scenario import Scenario, ScenarioError, loads_scenario
+from .scenario import Scenario, ScenarioError, _read_utf8, load_scenario, loads_scenario
 
 _CONDITION_B = {
     "satisfied": ConditionB.SATISFIED,
@@ -46,9 +46,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _load(file_arg: str) -> Scenario:
     if file_arg == "-":
-        return loads_scenario(sys.stdin.read(), name="stdin")
-    path = Path(file_arg)
-    return loads_scenario(path.read_text(encoding="utf-8"), name=path.stem)
+        return loads_scenario(_read_utf8(sys.stdin.read), name="stdin")
+    return load_scenario(file_arg)
 
 
 def _write(text: str, out: str | None) -> None:

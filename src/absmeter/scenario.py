@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .alphabet import Alphabet, LetterId, Pmf, entropy, make_quantized_range
 from .axis import AbstractionAxis, NodeKind, RepresentationNode
@@ -588,8 +588,16 @@ def loads_scenario(text: str, name: str = "scenario") -> Scenario:
     return _parse_owned(data, name)
 
 
+def _read_utf8(read: Callable[[], str]) -> str:
+    """The text ``read()`` returns; undecodable bytes fail at ``$``."""
+    try:
+        return read()
+    except UnicodeDecodeError as e:
+        raise ScenarioError("$", f"not valid UTF-8: {e}") from None
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Read and validate a scenario file."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = _read_utf8(lambda: path.read_text(encoding="utf-8"))
     return loads_scenario(text, name=path.stem)

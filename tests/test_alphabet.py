@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 import oracles
 from absmeter import (
     Alphabet,
+    Channel,
     Letter,
     Pmf,
     entropy,
     kl_divergence,
     make_quantized_range,
     make_uniform,
+    push_forward,
 )
+from absmeter.channel import _bayes_round_trip
 
 
 def uniform(n, tag="x"):
@@ -207,6 +210,55 @@ class TestAlphabet:
         assert grid.position(4) == 4
         assert grid.position("4") is None
         assert grid.position(True) is None
+
+
+class TestCachingAndCopies:
+    FULL = {"a": 0.5, "b": 0.3, "c": 0.2}
+    PARTIAL = {"a": 0.5, "b": 0.0, "c": 0.5, "d": -0.0}
+
+    @pytest.mark.parametrize("d", [FULL, PARTIAL], ids=["full", "partial"])
+    def test_entropy_repeat_equals_fresh_pmf(self, d):
+        p = Pmf(d)
+        first = entropy(p)
+        assert entropy(p) == first == entropy(Pmf(d))
+        assert abs(first - oracles.entropy_bits(d)) <= 1e-12
+
+    def test_invalid_pmf_is_refused_every_time(self):
+        p = Pmf({"a": 0.9})
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                entropy(p)
+
+    @pytest.mark.parametrize(
+        "q, p",
+        [
+            (FULL, {"a": 0.2, "b": 0.2, "c": 0.6}),
+            (PARTIAL, {"a": 0.25, "b": 0.25, "c": 0.25, "d": 0.25}),
+            ({"a": 0.5, "b": 0.0, "c": 0.5, "d": 0.0}, PARTIAL),
+            (FULL, {"a": 0.5, "b": 0.5, "c": 0.0}),
+        ],
+        ids=["full", "partial-q", "partial-both", "off-support"],
+    )
+    def test_kl_matches_oracle(self, q, p):
+        d = kl_divergence(Pmf(q), Pmf(p))
+        expected = oracles.kl_bits(q, p)
+        assert d == expected if math.isinf(expected) else abs(d - expected) <= 1e-12
+
+    def test_from_vector_copies_a_writeable_array(self):
+        vec = np.array([0.25, 0.75])
+        p = Pmf.from_vector(("a", "b"), vec)
+        vec[0] = 0.75
+        assert list(p.vec) == [0.25, 0.75]
+        assert not p.vec.flags.writeable
+
+    def test_package_made_vectors_are_read_only(self):
+        a = Alphabet("a", ("a0", "a1", "a2", "a3"))
+        b = Alphabet("b", ("b0", "b1"))
+        f = Channel.deterministic("f", a, b, {"a0": "b0", "a1": "b0", "a2": "b1", "a3": "b1"})
+        made = [a.pmf, b.pmf, make_quantized_range(0, 4, 1).pmf, push_forward(a.pmf, f)]
+        made += _bayes_round_trip(a.pmf, f)
+        for pmf in made:
+            assert not pmf.vec.flags.writeable
 
 
 class TestValidate:

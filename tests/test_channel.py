@@ -351,6 +351,37 @@ class TestReconstruction:
             assert np.array_equal(reconstructed.vec, expected.vec), trial
             assert np.array_equal(pushed.vec, push_forward(prior, ch).vec), trial
 
+    @pytest.mark.parametrize("kind", ["quantizer", "map", "near-one"])
+    def test_one_entry_per_source_round_trip_is_bit_identical(self, kind):
+        # priors with zeros, half of them -0.0; signbit pins that the
+        # reconstruction keeps +0.0 where the inverse's sum would
+        rng = np.random.default_rng(0x1E5)
+        for trial in range(40):
+            n = int(rng.integers(2, 41))
+            if kind == "quantizer":
+                src = make_quantized_range(0.0, 0.5 * (n - 1), 0.5, id="g")
+                dst = Alphabet("px", range(int(rng.integers(1, 9))))
+                ch = Channel.quantizer("q", src, dst, dst.n_letters)
+            else:
+                src = builders.random_alphabet(rng, n, "s", uniform=True)
+                dst = builders.random_alphabet(rng, int(rng.integers(1, 9)), "t")
+                ch, image = builders.random_deterministic(rng, src, dst)
+                if kind == "near-one":
+                    rows = {x: {y: 1.0 - 5e-10} for x, y in image.items()}
+                    ch = Channel.stochastic("s", src, dst, rows)
+            assert len(ch.rows) == src.n_letters
+            vec = builders.random_weights(rng, n)
+            vec[(vec == 0.0) & (np.arange(n) % 2 == 0)] = -0.0
+            prior = Pmf.from_vector(src.letter_ids, vec)
+            pushed, reconstructed = _bayes_round_trip(prior, ch)
+            expected = reconstructed_pmf(prior, ch, bayes_inverse(ch, prior))
+            for got, want in (
+                (pushed.vec, push_forward(prior, ch).vec),
+                (reconstructed.vec, expected.vec),
+            ):
+                assert np.array_equal(got, want), trial
+                assert np.array_equal(np.signbit(got), np.signbit(want)), trial
+
     def test_fixed_guess_degenerates(self):
         # four letters so the uniform prior's quarters sum to exactly 1.0
         a, b = uniform(4, "a"), uniform(2, "b")

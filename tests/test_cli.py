@@ -406,6 +406,14 @@ class TestValidate:
         assert code == 1
         assert err.startswith(f"error: {path}:")
 
+    @pytest.mark.parametrize("command", ["analyze", "validate", "axis"])
+    def test_non_utf8_file_exits_one_with_path(self, command, tmp_path, capsys):
+        target = tmp_path / "latin1.json"
+        target.write_bytes(b'{"meta": {"title": "caf\xe9"}}')
+        code, _, err = run_cli([command, str(target)], capsys)
+        assert code == 1
+        assert err.startswith("error: $: not valid UTF-8: ")
+
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB"
     )

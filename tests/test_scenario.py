@@ -80,6 +80,14 @@ class TestLoading:
         assert exc_info.value.path == "$"
         assert "not valid JSON" in str(exc_info.value)
 
+    def test_non_utf8_file_fails_at_root(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"meta": {"title": "caf\xe9"}}')
+        with pytest.raises(ScenarioError) as exc_info:
+            load_scenario(path)
+        assert exc_info.value.path == "$"
+        assert "not valid UTF-8" in str(exc_info.value)
+
     def test_non_object_root_rejected(self):
         with pytest.raises(ScenarioError):
             loads_scenario("[1, 2, 3]")
