@@ -9,10 +9,11 @@ result value here, not an error.
 
 No per-letter objects are kept. An alphabet's pmf shares its id sequence,
 and the pmf holds the one id-to-position index. An alphabet built from a
-numeric grid (`make_quantized_range`) has the ids ``range(n)`` plus its grid
-values in a dense array, so quantizing channels are built without touching
-any per-letter state; this is what keeps exact summation over about a
-million letters fast.
+numeric grid (`make_quantized_range`) has the ids ``range(n)`` and keeps
+only the grid's ``(lo, step, decimals)``; its ``values`` array is computed
+on first read, and quantizing channels compute the values they need block by
+block without ever building it. Nothing keeps per-letter state; this is what
+keeps exact summation over about a million letters fast.
 
 A pmf's vector is read-only. Vectors the package has just computed are
 handed to `Pmf.from_vector` already read-only and kept without a copy; a
@@ -35,6 +36,10 @@ MASS_TOLERANCE = 1e-9
 
 # Pointwise probability comparisons use this tolerance unless stated.
 POINTWISE_TOLERANCE = 1e-12
+
+# Long vectors are worked through in blocks of this many entries, so that a
+# block's temporaries stay in cache and no full-length temporary is made.
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -140,7 +145,11 @@ class Pmf:
         return float(self._vec.sum())
 
     def violations(self) -> list[str]:
-        """All ways this pmf fails to be a probability distribution."""
+        """All ways this pmf fails to be a probability distribution.
+
+        A pmf found without problems is marked checked, so `require_valid`
+        does not scan it again.
+        """
         problems: list[str] = []
         if len(self._ids) == 0:
             problems.append("pmf has no letters")
@@ -160,6 +169,7 @@ class Pmf:
             problems.append(
                 f"mass sums to {total!r} (expected 1 within {MASS_TOLERANCE})"
             )
+        self._checked = not problems
         return problems
 
     def require_valid(self) -> None:
@@ -168,7 +178,6 @@ class Pmf:
         problems = self.violations()
         if problems:
             raise ValueError("invalid pmf: " + "; ".join(problems))
-        self._checked = True
 
     def aligned_to(self, ids: Sequence[LetterId]) -> np.ndarray:
         """Probability vector reordered to follow ``ids``.
@@ -208,13 +217,13 @@ class Alphabet:
     """Ordered letter ids plus a pmf over exactly those ids.
 
     ``letter_ids`` is a tuple, or ``range(n)`` for a grid; ``values`` holds
-    a grid's values and is None otherwise. A given pmf is stored reordered
-    to ``letter_ids``, so ``pmf.ids is letter_ids`` always holds; a pmf over
-    other ids is refused. Instances are treated as immutable after
-    construction.
+    a grid's values, computed on first read, and is None otherwise. A given
+    pmf is stored reordered to ``letter_ids``, so ``pmf.ids is letter_ids``
+    always holds; a pmf over other ids is refused. Instances are treated as
+    immutable after construction.
     """
 
-    __slots__ = ("id", "letter_ids", "values", "pmf")
+    __slots__ = ("id", "letter_ids", "pmf", "_grid", "_values")
 
     def __init__(self, id: str, letter_ids: Iterable[LetterId], pmf: Pmf | None = None):
         if not isinstance(letter_ids, range):
@@ -232,8 +241,18 @@ class Alphabet:
             pmf = Pmf.from_vector(letter_ids, pmf.aligned_to(letter_ids))
         self.id = id
         self.letter_ids: Sequence[LetterId] = letter_ids
-        self.values: np.ndarray | None = None
         self.pmf = pmf
+        self._grid: tuple[float, float, int] | None = None
+        self._values: np.ndarray | None = None
+
+    @property
+    def values(self) -> np.ndarray | None:
+        """A grid's values (read-only), or None when this is not a grid."""
+        if self._grid is not None and self._values is None:
+            values = _grid_values(self._grid, np.arange(len(self.letter_ids), dtype=np.float64))
+            values.flags.writeable = False
+            self._values = values
+        return self._values
 
     @property
     def n_letters(self) -> int:
@@ -269,7 +288,8 @@ def make_quantized_range(
     The span (hi - lo) must be an integer multiple of step to within a
     relative 1e-6; the letter count is round((hi - lo) / step) + 1 and, when
     ``max_letters`` is given, may not exceed it. Letter ids are the grid
-    indices 0..n-1; ``values`` holds the grid rounded to the step's decimals.
+    indices 0..n-1; ``values`` holds the grid rounded to the step's decimals,
+    computed on first read.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
         raise ValueError("grid bounds and step must be finite")
@@ -287,15 +307,18 @@ def make_quantized_range(
         raise ValueError(
             f"span {hi - lo!r} is not an integer multiple of step {step!r}"
         )
-    # lo + step * k, rounded, computed in one buffer
-    values = np.arange(n_steps + 1, dtype=np.float64)
-    np.multiply(values, step, out=values)
-    np.add(values, lo, out=values)
-    np.round(values, _step_decimals(step), out=values)
-    values.flags.writeable = False
     grid = Alphabet(id, range(n_steps + 1))
-    grid.values = values
+    grid._grid = (lo, step, _step_decimals(step))
     return grid
+
+
+def _grid_values(grid: tuple[float, float, int], k: np.ndarray) -> np.ndarray:
+    """Values lo + step * k, rounded, of the grid letters at the float
+    positions ``k``, computed in ``k`` itself."""
+    lo, step, decimals = grid
+    np.multiply(k, step, out=k)
+    np.add(k, lo, out=k)
+    return np.round(k, decimals, out=k)
 
 
 def entropy(a: Alphabet | Pmf) -> float:
@@ -332,6 +355,10 @@ def kl_divergence(q: Pmf, p: Pmf) -> float:
     if not pv.min() > 0.0:
         return math.inf
     # log difference, not log of ratio: q/p can overflow when p is denormal
-    diff = np.log2(qv)
-    np.subtract(diff, np.log2(pv), out=diff)
+    diff = np.empty(len(qv))
+    log_p = np.empty(min(len(qv), _BLOCK))
+    for start in range(0, len(qv), _BLOCK):
+        end = start + _BLOCK
+        d = np.log2(qv[start:end], out=diff[start:end])
+        np.subtract(d, np.log2(pv[start:end], out=log_p[: len(d)]), out=d)
     return float(np.dot(qv, diff))

@@ -9,7 +9,9 @@ observer believes produced them.
 Every channel, declared or derived, is stored as one sorted entry list: three
 equal-length numpy arrays holding the source index (non-decreasing), the
 target index (ascending within a source) and the conditional probability. A
-deterministic channel is the case of one entry per source with value 1.
+deterministic channel is the case of one entry per source with value 1; its
+``vals`` is a read-only zero-stride view of 1.0 (``np.broadcast_to``), so
+callers must not assume ``vals`` is contiguous or writeable.
 Derived channels (Bayes inversions, compositions) may span alphabets far
 larger than the declared-channel limits; listing only the entries a channel
 can reach is what keeps the exact double summations tractable at that size.
@@ -31,7 +33,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .alphabet import Alphabet, LetterId, Pmf, entropy, kl_divergence
+from .alphabet import _BLOCK, Alphabet, LetterId, Pmf, _grid_values, entropy, kl_divergence
 
 # Declared channels keep exact summation desk-tractable within these bounds.
 MAX_DETERMINISTIC_LETTERS = 2 ** 21
@@ -98,7 +100,10 @@ class Channel:
     ) -> Channel:
         n = len(targets)
         sources = np.arange(n, dtype=np.intp)
-        return cls(id, source, target, sources, targets, np.ones(n))
+        # what np.broadcast_to(1.0, n) gives, without its Python-level set-up
+        ones = np.ndarray((n,), np.float64, np.ones(1), strides=(0,))
+        ones.flags.writeable = False
+        return cls(id, source, target, sources, targets, ones)
 
     @classmethod
     def deterministic(
@@ -147,8 +152,8 @@ class Channel:
         target alphabet must have exactly ``pixels`` letters; levels address
         its letters by position.
         """
-        values = source.values
-        if values is None:
+        grid = source._grid
+        if grid is None:
             raise ValueError(
                 f"channel '{id}': quantizer needs a numeric grid source alphabet"
             )
@@ -164,15 +169,21 @@ class Channel:
                 f"channel '{id}': deterministic channels allow at most "
                 f"{MAX_DETERMINISTIC_LETTERS} letters per alphabet"
             )
-        lo, hi = float(values[0]), float(values[-1])
+        n = source.n_letters
+        lo, hi = _grid_values(grid, np.array([0.0, n - 1.0])).tolist()
         if pixels == 1 or hi == lo:
-            image = np.zeros(source.n_letters, dtype=np.intp)
+            image = np.zeros(n, dtype=np.intp)
         else:
-            # floor((v - lo) * scale + 0.5), computed in one buffer
-            scaled = np.subtract(values, lo)
-            np.multiply(scaled, (pixels - 1) / (hi - lo), out=scaled)
-            np.add(scaled, 0.5, out=scaled)
-            image = np.floor(scaled, out=scaled).astype(np.intp)
+            # floor((v - lo) * scale + 0.5), one block of grid values at a time
+            image = np.empty(n, dtype=np.intp)
+            scale = (pixels - 1) / (hi - lo)
+            for start in range(0, n, _BLOCK):
+                end = min(start + _BLOCK, n)
+                scaled = _grid_values(grid, np.arange(start, end, dtype=np.float64))
+                np.subtract(scaled, lo, out=scaled)
+                np.multiply(scaled, scale, out=scaled)
+                np.add(scaled, 0.5, out=scaled)
+                np.floor(scaled, out=image[start:end], casting="unsafe")
         return cls._from_targets(id, source, target, image)
 
     @classmethod
@@ -386,20 +397,33 @@ def _bayes_round_trip(prior: Pmf, c: Channel) -> tuple[Pmf, Pmf]:
     The terms are added per source in ascending target order, as the
     inverse's rows add them, so both results are the same float for float.
     With one entry per source (every deterministic channel) the entries are
-    the sources in order, so the gather and the per-source sum drop out;
-    ``back + 0.0`` turns a -0.0 into 0.0 as summing from zero does.
+    the sources in order, so the gather and the per-source sum drop out, and
+    with ``vals`` the zero-stride view of 1.0 the joint is the prior itself
+    (x * 1.0 == x). ``+ 0.0`` turns a -0.0 into 0.0 as summing from zero
+    does. The marginal is gathered back one block at a time.
     """
     prior.require_valid()
     pvec = prior.aligned_to(c.source.letter_ids)
     one_per_source = len(c.rows) == c.source.n_letters
-    joint = (pvec if one_per_source else pvec[c.rows]) * c.vals
+    if one_per_source and c.vals.strides == (0,) and c.vals[0] == 1.0:
+        joint = pvec
+    else:
+        joint = (pvec if one_per_source else pvec[c.rows]) * c.vals
     marginal = np.bincount(c.cols, weights=joint, minlength=c.target.n_letters)
-    m = marginal[c.cols]
     # m * (joint / m) rather than joint: the inverse stores joint / m
-    back = np.divide(joint, m, out=np.zeros_like(joint), where=m > 0.0)
-    np.multiply(back, m, out=back)
+    back = np.zeros(len(joint))
+    m = np.empty(min(len(joint), _BLOCK))
+    for start in range(0, len(joint), _BLOCK):
+        end = start + _BLOCK
+        cols = c.cols[start:end]
+        # cols index the target, so "clip" clips nothing; it skips the copy "raise" makes
+        mb = np.take(marginal, cols, out=m[: len(cols)], mode="clip")
+        out = back[start:end]
+        np.divide(joint[start:end], mb, out=out, where=mb > 0.0)
+        np.multiply(out, mb, out=out)
+        np.add(out, 0.0, out=out)
     if one_per_source:
-        q = np.add(back, 0.0, out=back)
+        q = back
     else:
         q = np.bincount(c.rows, weights=back, minlength=c.source.n_letters)
     marginal.flags.writeable = False

@@ -46,7 +46,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _load(file_arg: str) -> Scenario:
     if file_arg == "-":
-        return loads_scenario(_read_utf8(sys.stdin.read), name="stdin")
+        data = sys.stdin.buffer.read()
+        return loads_scenario(_read_utf8(lambda: data.decode("utf-8")), name="stdin")
     return load_scenario(file_arg)
 
 

@@ -229,6 +229,23 @@ class TestCachingAndCopies:
             with pytest.raises(ValueError):
                 entropy(p)
 
+    def test_invalid_pmf_is_refused_on_every_call(self):
+        p = Pmf({"a": 0.9, "b": 0.0})
+        fine = Pmf({"a": 0.5, "b": 0.5})
+        for _ in range(3):
+            assert p.violations()
+            for call in (p.require_valid, lambda: entropy(p), lambda: kl_divergence(p, fine),
+                         lambda: kl_divergence(fine, p)):
+                with pytest.raises(ValueError, match="mass sums to"):
+                    call()
+
+    def test_clean_scan_is_not_repeated(self, monkeypatch):
+        p = Pmf({"a": 0.25, "b": 0.75})
+        assert p.violations() == []
+        monkeypatch.setattr(Pmf, "violations", lambda self: pytest.fail("scanned again"))
+        p.require_valid()
+        assert entropy(p) > 0.0
+
     @pytest.mark.parametrize(
         "q, p",
         [

@@ -1,0 +1,122 @@
+"""Blocked kernels against unblocked references, bit for bit.
+
+Grid values, quantizer images, the one-entry-per-source Bayes round trip and
+the KL divergence work through long vectors one block at a time. Each is
+compared here with the whole-vector computation it replaces, at lengths
+around the block boundary and at the barchart's 1,000,001 letters, with
+`np.array_equal` and equal sign bits.
+"""
+
+import numpy as np
+import pytest
+
+from absmeter import Channel, Pmf, kl_divergence, make_quantized_range
+from absmeter.alphabet import _BLOCK
+from absmeter.channel import _bayes_round_trip
+
+SIZES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7, 1_000_001]
+
+# (lo, step, decimals the grid rounds to); a step below 1e-9 rounds to whole
+# numbers, so the last grid is all zeros
+GRIDS = [(0.0, 0.01, 2), (-3.5, 0.25, 2), (7.0, 1.0, 0), (1e-3, 1e-7, 7), (0.0, 1e-12, 0)]
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def reference_values(lo, step, decimals, n):
+    return np.round(np.arange(n, dtype=np.float64) * step + lo, decimals)
+
+
+def grid(lo, step, n):
+    return make_quantized_range(lo, lo + (n - 1) * step, step)
+
+
+def prior_with_zeros(n, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.random(n)
+    w[rng.random(n) < 0.2] = 0.0
+    w[rng.random(n) < 0.1] = -0.0
+    return w / w.sum()
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("lo, step, decimals", GRIDS)
+def test_grid_values(n, lo, step, decimals):
+    values = grid(lo, step, n).values
+    assert same_bits(values, reference_values(lo, step, decimals, n))
+    assert not values.flags.writeable
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("lo, step, decimals", GRIDS)
+@pytest.mark.parametrize("pixels", [1, 2, 1001])
+def test_quantizer_image(n, lo, step, decimals, pixels):
+    source = grid(lo, step, n)
+    target = make_quantized_range(0, pixels - 1, 1)
+    c = Channel.quantizer("q", source, target, pixels)
+    values = reference_values(lo, step, decimals, n)
+    lo_v, hi_v = float(values[0]), float(values[-1])
+    if pixels == 1 or hi_v == lo_v:
+        expected = np.zeros(n, dtype=np.intp)
+    else:
+        scaled = (values - lo_v) * ((pixels - 1) / (hi_v - lo_v)) + 0.5
+        expected = np.floor(scaled).astype(np.intp)
+    assert c.cols.dtype == np.intp
+    assert np.array_equal(c.cols, expected)
+    assert np.array_equal(c.rows, np.arange(n))
+    # one entry per source: a read-only zero-stride view of 1.0
+    assert c.vals.strides == (0,) and not c.vals.flags.writeable
+    assert np.array_equal(c.vals, np.ones(n))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_the_finest_grid_rounds_to_one_value(n):
+    # so the quantizer test above reaches its hi == lo branch at every size
+    assert np.ptp(grid(0.0, 1e-12, n).values) == 0.0
+
+
+def reference_round_trip(pvec, c):
+    joint = pvec * np.ascontiguousarray(c.vals)
+    marginal = np.bincount(c.cols, weights=joint, minlength=c.target.n_letters)
+    m = marginal[c.cols]
+    back = np.divide(joint, m, out=np.zeros_like(joint), where=m > 0.0)
+    return marginal, back * m + 0.0
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("vals", ["ones-view", "near-one"])
+def test_one_entry_per_source_round_trip(n, vals):
+    source = make_quantized_range(0, n - 1, 1)
+    target = make_quantized_range(0, 1000, 1)
+    c = Channel.quantizer("q", source, target, 1001)
+    if vals == "near-one":
+        c = Channel("q", source, target, c.rows, c.cols, np.full(n, 1.0 - 2.0**-52))
+    pvec = prior_with_zeros(n, seed=n)
+    assert np.signbit(pvec[pvec == 0.0]).any()
+    prior = Pmf.from_vector(source.letter_ids, pvec)
+    out, back = _bayes_round_trip(prior, c)
+    marginal, q = reference_round_trip(pvec, c)
+    assert same_bits(out.vec, marginal)
+    assert same_bits(back.vec, q)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("support", ["full", "partial"])
+def test_kl_divergence(n, support):
+    rng = np.random.default_rng(n)
+    qv = rng.random(n) + (0.5 if support == "full" else 0.0)
+    if support == "partial":
+        qv[rng.random(n) < 0.3] = 0.0
+        qv[rng.random(n) < 0.1] = -0.0
+    qv /= qv.sum()
+    pv = rng.random(n) + 1e-3
+    pv /= pv.sum()
+    ids = range(n)
+    d = kl_divergence(Pmf.from_vector(ids, qv), Pmf.from_vector(ids, pv))
+    keep = qv > 0.0
+    expected = np.dot(qv[keep], np.log2(qv[keep]) - np.log2(pv[keep]))
+    assert same_bits(d, expected)
+

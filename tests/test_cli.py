@@ -6,6 +6,7 @@ subprocess to cover piping, stdin, and byte-for-byte determinism.
 
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -33,6 +34,11 @@ def run_module(args, stdin_text=None):
         text=True,
         timeout=120,
     )
+
+
+def piped(data):
+    """A text stream over UTF-8 bytes, like a real standard input."""
+    return io.TextIOWrapper(io.BytesIO(json.dumps(data).encode("utf-8")), encoding="utf-8")
 
 
 ZERO_COST = {
@@ -224,20 +230,20 @@ class TestAnalyze:
         assert "error:" in err
 
     def test_stdin_dash(self, monkeypatch, capsys):
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(ZERO_COST)))
+        monkeypatch.setattr("sys.stdin", piped(ZERO_COST))
         code, out, _ = run_cli(["analyze", "-", "--format", "json"], capsys)
         assert code == 0
         assert json.loads(out)["scenario"] == "stdin"
 
     def test_zero_cost_ratio_is_inline_infinity(self, monkeypatch, capsys):
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(ZERO_COST)))
+        monkeypatch.setattr("sys.stdin", piped(ZERO_COST))
         code, out, _ = run_cli(["analyze", "-", "--format", "json"], capsys)
         assert code == 0
         stage = json.loads(out)["stages"][0]
         assert stage["ratio"] == "+inf"
 
     def test_infinite_distortion_reported_not_fatal(self, monkeypatch, capsys):
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(BAD_GUESS)))
+        monkeypatch.setattr("sys.stdin", piped(BAD_GUESS))
         code, out, _ = run_cli(["analyze", "-", "--format", "json"], capsys)
         assert code == 0
         stage = json.loads(out)["stages"][0]
@@ -413,6 +419,21 @@ class TestValidate:
         code, _, err = run_cli([command, str(target)], capsys)
         assert code == 1
         assert err.startswith("error: $: not valid UTF-8: ")
+
+    @pytest.mark.parametrize("command", ["analyze", "validate", "axis"])
+    def test_non_utf8_stdin_exits_one_with_path(self, command):
+        # UTF-8 mode would decode stray bytes as surrogates if read as text
+        args = [command, "-"] + (["--format", "csv"] if command == "analyze" else [])
+        result = subprocess.run(
+            MODULE + args,
+            input=b'{"alphabets": [{"id": "a\xff", "uniform_count": 2}]}',
+            capture_output=True,
+            env={**os.environ, "PYTHONUTF8": "1"},
+            timeout=120,
+        )
+        assert result.returncode == 1
+        assert result.stdout == b""
+        assert result.stderr.startswith(b"error: $: not valid UTF-8: ")
 
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB"

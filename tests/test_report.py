@@ -4,10 +4,18 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
-from absmeter import analyze, costbenefit, exemplar, load_scenario, stage_cost_benefit
+from absmeter import (
+    analyze,
+    costbenefit,
+    exemplar,
+    load_scenario,
+    loads_scenario,
+    stage_cost_benefit,
+)
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +112,20 @@ class TestEvaluationMemo:
         prior = stage.forward.source.pmf
         assert stage_cost_benefit(stage, prior) == stage_cost_benefit(stage, prior)
         assert len(evaluations) == 2
+
+
+class TestMemory:
+    def test_barchart_op_peaks_under_45_mib(self):
+        # what the op keeps of its 1,000,001 letters: the readings pmf, the
+        # plot's rows and image, the reconstruction, and one log temporary
+        text = exemplar("barchart").to_json()
+        tracemalloc.start()
+        try:
+            analyze(loads_scenario(text)).render("json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 45 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestJsonFormat:

@@ -8,8 +8,10 @@ import pytest
 from absmeter import (
     EXEMPLAR_NAMES,
     OverlappingAttributesError,
+    Pmf,
     ScenarioError,
     TransitionKind,
+    analyze,
     classify_transition,
     combine_space,
     compare_routes,
@@ -464,6 +466,27 @@ class TestPipelineValidation:
         pipeline = parse(data).pipelines["p"]
         assert pipeline.prior is not None
         assert pipeline.prior["0"] == 0.5
+
+    def test_declared_pmfs_are_scanned_once(self, monkeypatch):
+        data = self.piped()
+        data["alphabets"][0] = {
+            "id": "a8",
+            "letters": [{"id": str(i), "probability": 0.125} for i in range(8)],
+        }
+        data["pipelines"][0]["prior"] = {str(i): 0.5 / 7 if i else 0.5 for i in range(8)}
+        scenario = parse(data)
+        declared = [scenario.alphabets["a8"].pmf, scenario.pipelines["p"].prior]
+        scanned = []
+        fresh = Pmf.violations
+
+        def counted(pmf):
+            scanned.append(pmf)
+            return fresh(pmf)
+
+        monkeypatch.setattr(Pmf, "violations", counted)
+        analyze(scenario)
+        assert scanned  # the pmfs analyze derives are still checked
+        assert not [pmf for pmf in scanned if any(pmf is d for d in declared)]
 
     def test_duplicate_pipeline_id(self):
         data = self.piped()
