@@ -11,12 +11,10 @@ heavier abstraction.
 
 from .alphabet import (
     Alphabet,
-    Letter,
     Pmf,
     entropy,
     kl_divergence,
     make_quantized_range,
-    make_uniform,
 )
 from .axis import (
     AbstractionAxis,
@@ -26,7 +24,6 @@ from .axis import (
     OverlappingAttributesError,
     RepresentationNode,
     TransitionKind,
-    build_axis,
     classify_transition,
     combine_space,
     detect_fork,
@@ -53,8 +50,6 @@ from .costbenefit import (
     TaskTarget,
     abstraction_score,
     compare_routes,
-    is_abstraction,
-    is_meaningful_visual_abstraction,
     pipeline_cost_benefit,
     stage_cost_benefit,
 )
@@ -72,12 +67,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet",
-    "Letter",
     "Pmf",
     "entropy",
     "kl_divergence",
     "make_quantized_range",
-    "make_uniform",
     "Channel",
     "alphabet_compression",
     "bayes_inverse",
@@ -97,8 +90,6 @@ __all__ = [
     "TaskTarget",
     "abstraction_score",
     "compare_routes",
-    "is_abstraction",
-    "is_meaningful_visual_abstraction",
     "pipeline_cost_benefit",
     "stage_cost_benefit",
     "AbstractionAxis",
@@ -108,7 +99,6 @@ __all__ = [
     "OverlappingAttributesError",
     "RepresentationNode",
     "TransitionKind",
-    "build_axis",
     "classify_transition",
     "combine_space",
     "detect_fork",

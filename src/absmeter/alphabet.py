@@ -24,7 +24,6 @@ the pmf. Being immutable, a pmf computes its entropy once and caches it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
@@ -40,13 +39,6 @@ POINTWISE_TOLERANCE = 1e-12
 # Long vectors are worked through in blocks of this many entries, so that a
 # block's temporaries stay in cache and no full-length temporary is made.
 _BLOCK = 1 << 15
-
-
-@dataclass(frozen=True)
-class Letter:
-    """One element of an alphabet, identified by an opaque id."""
-
-    id: LetterId
 
 
 class Pmf:
@@ -137,9 +129,6 @@ class Pmf:
     def items(self) -> Iterator[tuple[LetterId, float]]:
         for lid, p in zip(self._ids, self._vec):
             yield lid, float(p)
-
-    def as_dict(self) -> dict[LetterId, float]:
-        return dict(self.items())
 
     def mass(self) -> float:
         return float(self._vec.sum())
@@ -269,11 +258,6 @@ class Alphabet:
 
     def __repr__(self) -> str:
         return f"Alphabet({self.id!r}, letters={self.n_letters})"
-
-
-def make_uniform(letters: Iterable[Letter], id: str = "uniform") -> Alphabet:
-    """Alphabet over the given letters with equal mass on each."""
-    return Alphabet(id, (letter.id for letter in letters))
 
 
 def make_quantized_range(

@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 # Information comparisons along an axis treat changes at or below this as none.
 INFORMATION_TOLERANCE = 1e-9
@@ -86,13 +86,6 @@ class AbstractionAxis:
 
     def transitions(self) -> list[TransitionKind]:
         return [classify_transition(self, i) for i in range(len(self.nodes) - 1)]
-
-
-def build_axis(
-    nodes: Iterable[RepresentationNode], purpose: str = "", id: str = "axis"
-) -> AbstractionAxis:
-    """Axis over the given nodes; needs two or more with unique ids."""
-    return AbstractionAxis(id=id, nodes=tuple(nodes), purpose=purpose)
 
 
 def classify_transition(axis: AbstractionAxis, index: int) -> TransitionKind:

@@ -255,13 +255,6 @@ class Channel:
             ),
         )
 
-    @classmethod
-    def identity(cls, alphabet: Alphabet, id: str | None = None) -> Channel:
-        if id is None:
-            id = f"identity({alphabet.id})"
-        targets = np.arange(alphabet.n_letters, dtype=np.intp)
-        return cls._from_targets(id, alphabet, alphabet, targets)
-
     # ---- inspection ----------------------------------------------------
 
     @property

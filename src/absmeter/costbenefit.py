@@ -37,14 +37,10 @@ from enum import Enum
 from .alphabet import Pmf, entropy, kl_divergence
 from .channel import (
     Channel,
-    alphabet_compression,
     push_forward,
     _bayes_round_trip,
     _same_letters,
 )
-
-# Strict comparisons treat differences at or below this as ties.
-COMPARISON_TOLERANCE = 1e-12
 
 # Internal telescoping consistency must hold within this.
 TELESCOPE_TOLERANCE = 1e-9
@@ -233,8 +229,6 @@ class RouteComparison:
     cost_premise_holds: bool
     distortion_premise_holds: bool
     premises_satisfied: bool
-    pipeline_ratio: float
-    direct_ratio: float
     pipeline_preferred: bool
 
 
@@ -373,8 +367,6 @@ class _Evaluator:
             cost_premise_holds=cost_premise,
             distortion_premise_holds=distortion_premise,
             premises_satisfied=cost_premise and distortion_premise,
-            pipeline_ratio=pipeline_report.ratio,
-            direct_ratio=direct_report.ratio,
             pipeline_preferred=pipeline_report.ratio > direct_report.ratio,
         )
 
@@ -404,34 +396,3 @@ def compare_routes(via_stages: Pipeline, direct: Stage) -> RouteComparison:
     hold; `premises_satisfied` says so.
     """
     return _Evaluator().route(via_stages, direct)
-
-
-def is_abstraction(prior: Pmf, c: Channel) -> bool:
-    """True when the channel strictly removes entropy under the prior."""
-    return alphabet_compression(prior, c) > COMPARISON_TOLERANCE
-
-
-def is_meaningful_visual_abstraction(
-    info_source: float,
-    info_target: float,
-    cost_source: float,
-    cost_target: float,
-) -> bool:
-    """True when the target representation both carries strictly less
-    information than the source and is strictly cheaper to work with."""
-    for name, value in (
-        ("info_source", info_source),
-        ("info_target", info_target),
-    ):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    for name, value in (
-        ("cost_source", cost_source),
-        ("cost_target", cost_target),
-    ):
-        if not math.isfinite(value) or value < 0.0:
-            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-    return (
-        info_target < info_source - COMPARISON_TOLERANCE
-        and cost_target < cost_source
-    )

@@ -234,8 +234,8 @@ def analyze(scenario: Scenario, pipeline_id: str | None = None) -> Report:
                 "cost_premise_holds": cmp.cost_premise_holds,
                 "distortion_premise_holds": cmp.distortion_premise_holds,
                 "premises_satisfied": cmp.premises_satisfied,
-                "pipeline_ratio": cmp.pipeline_ratio,
-                "direct_ratio": cmp.direct_ratio,
+                "pipeline_ratio": cmp.pipeline.ratio,
+                "direct_ratio": cmp.direct.ratio,
                 "pipeline_preferred": cmp.pipeline_preferred,
             }
             if not cmp.premises_satisfied:

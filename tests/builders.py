@@ -1,16 +1,27 @@
-"""Seeded random alphabets, priors, and channels for the property tests.
+"""Alphabets, priors and channels that the tests build.
 
-Builders return the package object together with the plain-dict form the
-oracles consume, so each check runs the same instance down both routes.
+`uniform` and `identity` are the fixed alphabets and channels many tests
+start from. The seeded random builders return the package object together
+with the plain-dict form the oracles consume, so each check runs the same
+instance down both routes.
 """
 
 import numpy as np
 
-from absmeter import Alphabet, Channel, Letter, Pmf
+from absmeter import Alphabet, Channel, Pmf
 
 
-def make_letters(n, tag):
-    return [Letter(f"{tag}{i}") for i in range(n)]
+def uniform(n, tag="x"):
+    """Alphabet ``tag`` over the letters tag0..tag{n-1}, uniform by default."""
+    return Alphabet(tag, [f"{tag}{i}" for i in range(n)])
+
+
+def identity(alphabet):
+    """Deterministic channel that maps every letter of ``alphabet`` to itself."""
+    ids = alphabet.letter_ids
+    return Channel.deterministic(
+        f"identity({alphabet.id})", alphabet, alphabet, dict(zip(ids, ids))
+    )
 
 
 def random_weights(rng, n, allow_zeros=True):
@@ -24,7 +35,7 @@ def random_weights(rng, n, allow_zeros=True):
 
 
 def random_alphabet(rng, n, tag, uniform=False):
-    ids = tuple(l.id for l in make_letters(n, tag))
+    ids = tuple(f"{tag}{i}" for i in range(n))
     if uniform:
         return Alphabet(tag, ids)
     probs = random_weights(rng, n)

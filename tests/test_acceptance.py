@@ -198,15 +198,15 @@ class TestAcceptance:
 
             sound = compared("route_premises_hold.json")
             assert sound.premises_satisfied
-            assert sound.pipeline_ratio > sound.direct_ratio
+            assert sound.pipeline.ratio > sound.direct.ratio
             assert sound.pipeline_preferred
 
             flagged = compared("route_cost_premise_violated.json")
             assert not flagged.cost_premise_holds
             assert not flagged.premises_satisfied
             # both ratios are still reported alongside the flag
-            assert math.isfinite(flagged.pipeline_ratio)
-            assert math.isfinite(flagged.direct_ratio)
+            assert math.isfinite(flagged.pipeline.ratio)
+            assert math.isfinite(flagged.direct.ratio)
 
     def test_09_molecular_axes_fixture(self, fixtures_dir):
         with criterion(

@@ -775,8 +775,8 @@ class TestRouteFixtures:
         assert comparison.cost_premise_holds
         assert comparison.distortion_premise_holds
         assert comparison.premises_satisfied
-        assert comparison.pipeline_ratio == pytest.approx(0.3, abs=1e-9)
-        assert comparison.direct_ratio == pytest.approx(0.0, abs=1e-9)
+        assert comparison.pipeline.ratio == pytest.approx(0.3, abs=1e-9)
+        assert comparison.direct.ratio == pytest.approx(0.0, abs=1e-9)
         assert comparison.pipeline_preferred
 
     def test_cost_premise_violated_fixture(self, fixtures_dir):
@@ -785,8 +785,8 @@ class TestRouteFixtures:
         assert comparison.distortion_premise_holds
         assert not comparison.premises_satisfied
         # the ratios are still reported even though the comparison is flagged
-        assert comparison.pipeline_ratio == pytest.approx(0.3, abs=1e-9)
-        assert comparison.direct_ratio == pytest.approx(0.0, abs=1e-9)
+        assert comparison.pipeline.ratio == pytest.approx(0.3, abs=1e-9)
+        assert comparison.direct.ratio == pytest.approx(0.0, abs=1e-9)
 
 
 class TestExemplars:
