@@ -247,9 +247,6 @@ class Alphabet:
     def n_letters(self) -> int:
         return len(self.letter_ids)
 
-    def has_letter(self, letter_id: LetterId) -> bool:
-        return self.pmf.position(letter_id) is not None
-
     def index_of(self, letter_id: LetterId) -> int:
         i = self.pmf.position(letter_id)
         if i is None:

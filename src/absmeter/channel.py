@@ -12,6 +12,12 @@ target index (ascending within a source) and the conditional probability. A
 deterministic channel is the case of one entry per source with value 1; its
 ``vals`` is a read-only zero-stride view of 1.0 (``np.broadcast_to``), so
 callers must not assume ``vals`` is contiguous or writeable.
+Declared channels are checked once, by one constructor per kind:
+`_from_map` refuses a source left without an image, `quantizer` computes a
+grid's image, and `_from_rows` checks on whole arrays that every source has
+a row, no entry is negative and each row sums to one. `Channel.deterministic`,
+`Channel.stochastic` and the scenario loader resolve letters to positions in
+front of them.
 Derived channels (Bayes inversions, compositions) may span alphabets far
 larger than the declared-channel limits; listing only the entries a channel
 can reach is what keeps the exact double summations tractable at that size.
@@ -38,6 +44,8 @@ from .alphabet import _BLOCK, Alphabet, LetterId, Pmf, _grid_values, entropy, kl
 # Declared channels keep exact summation desk-tractable within these bounds.
 MAX_DETERMINISTIC_LETTERS = 2 ** 21
 MAX_STOCHASTIC_LETTERS = 4096
+# A declared stochastic channel lists at most this many entries (4096 x 256).
+MAX_STOCHASTIC_ENTRIES = 2 ** 20
 
 # Derived channels refuse to materialize beyond this many conditional entries.
 MAX_DERIVED_NONZEROS = 2 ** 26
@@ -64,6 +72,31 @@ def _require_same_letters(a: Alphabet, b: Alphabet, context: str) -> None:
         raise ValueError(
             f"{context}: alphabet '{a.id}' and alphabet '{b.id}' do not share letters"
         )
+
+
+def _exact_positions(id: str, alphabet: Alphabet, letter_ids, what: str) -> list:
+    """Positions of ``letter_ids`` in ``alphabet``; ``what`` names them when
+    one is not a letter."""
+    found = list(map(alphabet.pmf.position, letter_ids))
+    if None in found:
+        lid = list(letter_ids)[found.index(None)]
+        raise ValueError(f"channel '{id}': {what} {lid!r} is not a letter of '{alphabet.id}'")
+    return found
+
+
+def _require_declared_size(
+    id: str, kind: str, source: Alphabet, target: Alphabet, entries: int = 0
+) -> None:
+    """Refuse a declared channel beyond the letter limit of its ``kind``, or
+    with more than `MAX_STOCHASTIC_ENTRIES` entries, before any array is built."""
+    limit = MAX_STOCHASTIC_LETTERS if kind == "stochastic" else MAX_DETERMINISTIC_LETTERS
+    if max(source.n_letters, target.n_letters) > limit:
+        problem = f"{kind} channels allow at most {limit} letters per alphabet"
+    elif entries > MAX_STOCHASTIC_ENTRIES:
+        problem = f"{entries} conditional entries, more than the {MAX_STOCHASTIC_ENTRIES} supported"
+    else:
+        return
+    raise ValueError(f"channel '{id}': {problem}")
 
 
 class Channel:
@@ -99,11 +132,65 @@ class Channel:
         cls, id: str, source: Alphabet, target: Alphabet, targets: np.ndarray
     ) -> Channel:
         n = len(targets)
-        sources = np.arange(n, dtype=np.intp)
         # what np.broadcast_to(1.0, n) gives, without its Python-level set-up
         ones = np.ndarray((n,), np.float64, np.ones(1), strides=(0,))
         ones.flags.writeable = False
-        return cls(id, source, target, sources, targets, ones)
+        return cls(id, source, target, np.arange(n, dtype=np.intp), targets, ones)
+
+    @classmethod
+    def _from_map(
+        cls, id: str, source: Alphabet, target: Alphabet, sources, targets
+    ) -> Channel:
+        """Deterministic channel taking source position ``sources[j]`` to
+        target position ``targets[j]``; the sources are distinct, and a
+        source left out has no image."""
+        _require_declared_size(id, "deterministic", source, target)
+        n = source.n_letters
+        if len(sources) < n:
+            lid = source.letter_ids[int(np.setdiff1d(np.arange(n), sources)[0])]
+            raise ValueError(f"channel '{id}': no image for source letter {lid!r}")
+        image = np.empty(n, dtype=np.intp)
+        image[sources] = targets
+        return cls._from_targets(id, source, target, image)
+
+    @classmethod
+    def _from_rows(
+        cls, id: str, source: Alphabet, target: Alphabet, keys, sizes, cols, vals
+    ) -> Channel:
+        """Stochastic channel from declared rows: row r is source position
+        ``keys[r]`` (distinct) and holds the next ``sizes[r]`` entries of
+        ``cols`` (target positions, distinct within a row) and ``vals``.
+
+        Every source needs a row, no probability may be negative and each row
+        must sum to 1, checked on whole arrays. The first failing source is
+        reported, a negative entry before its row's sum.
+        """
+        n_in, n_out = source.n_letters, target.n_letters
+        rows = np.repeat(np.asarray(keys, dtype=np.intp), sizes)
+        vals = np.array(vals, dtype=np.float64)
+        sums = np.bincount(rows, weights=vals, minlength=n_in)
+        declared = np.zeros(n_in, dtype=bool)
+        declared[keys] = True
+        bad = ~declared | ~(np.abs(sums - 1.0) <= ROW_MASS_TOLERANCE)
+        bad[rows[vals < 0.0]] = True
+        if bad.any():
+            i = int(np.argmax(bad))
+            lid = source.letter_ids[i]
+            below = vals[(rows == i) & (vals < 0.0)]
+            if not declared[i]:
+                problem = f"no conditional row for source letter {lid!r}"
+            elif len(below):
+                problem = f"negative conditional probability {float(below[0])!r} in row {lid!r}"
+            else:
+                problem = (
+                    f"row {lid!r} sums to {float(sums[i])!r} "
+                    f"(expected 1 within {ROW_MASS_TOLERANCE})"
+                )
+            raise ValueError(f"channel '{id}': {problem}")
+        key = rows * n_out + np.asarray(cols, dtype=np.intp)
+        order = np.argsort(key)
+        # + 0.0 turns a declared -0.0 into 0.0
+        return cls(id, source, target, rows[order], key[order] % n_out, vals[order] + 0.0)
 
     @classmethod
     def deterministic(
@@ -114,34 +201,9 @@ class Channel:
         mapping: Mapping[LetterId, LetterId],
     ) -> Channel:
         """Total letter-to-letter map; every source letter needs an image."""
-        n_in, n_out = source.n_letters, target.n_letters
-        if max(n_in, n_out) > MAX_DETERMINISTIC_LETTERS:
-            raise ValueError(
-                f"channel '{id}': deterministic channels allow at most "
-                f"{MAX_DETERMINISTIC_LETTERS} letters per alphabet"
-            )
-        for key in mapping:
-            if not source.has_letter(key):
-                raise ValueError(
-                    f"channel '{id}': map key {key!r} is not a letter of '{source.id}'"
-                )
-        image = np.empty(n_in, dtype=np.intp)
-        position = target.pmf.position
-        for i, lid in enumerate(source.letter_ids):
-            try:
-                out = mapping[lid]
-            except KeyError:
-                raise ValueError(
-                    f"channel '{id}': no image for source letter {lid!r}"
-                ) from None
-            k = position(out)
-            if k is None:
-                raise ValueError(
-                    f"channel '{id}': image {out!r} of {lid!r} is not a letter of "
-                    f"'{target.id}'"
-                )
-            image[i] = k
-        return cls._from_targets(id, source, target, image)
+        sources = _exact_positions(id, source, mapping, "map key")
+        targets = _exact_positions(id, target, mapping.values(), "image")
+        return cls._from_map(id, source, target, sources, targets)
 
     @classmethod
     def quantizer(cls, id: str, source: Alphabet, target: Alphabet, pixels: int) -> Channel:
@@ -164,11 +226,7 @@ class Channel:
                 f"channel '{id}': target '{target.id}' has {target.n_letters} letters, "
                 f"quantizer was declared with pixels={pixels}"
             )
-        if max(source.n_letters, pixels) > MAX_DETERMINISTIC_LETTERS:
-            raise ValueError(
-                f"channel '{id}': deterministic channels allow at most "
-                f"{MAX_DETERMINISTIC_LETTERS} letters per alphabet"
-            )
+        _require_declared_size(id, "deterministic", source, target)
         n = source.n_letters
         lo, hi = _grid_values(grid, np.array([0.0, n - 1.0])).tolist()
         if pixels == 1 or hi == lo:
@@ -195,65 +253,14 @@ class Channel:
         rows: Mapping[LetterId, Mapping[LetterId, float]],
     ) -> Channel:
         """One conditional pmf row per source letter; unlisted targets get 0."""
-        n_in, n_out = source.n_letters, target.n_letters
-        if max(n_in, n_out) > MAX_STOCHASTIC_LETTERS:
-            raise ValueError(
-                f"channel '{id}': stochastic channels allow at most "
-                f"{MAX_STOCHASTIC_LETTERS} letters per alphabet"
-            )
-        for key in rows:
-            if not source.has_letter(key):
-                raise ValueError(
-                    f"channel '{id}': row key {key!r} is not a letter of '{source.id}'"
-                )
-        sizes = np.zeros(n_in, dtype=np.intp)
-        col_chunks: list[np.ndarray] = []
-        val_chunks: list[np.ndarray] = []
-        position = target.pmf.position
-        for i, lid in enumerate(source.letter_ids):
-            try:
-                row = rows[lid]
-            except KeyError:
-                raise ValueError(
-                    f"channel '{id}': no conditional row for source letter {lid!r}"
-                ) from None
-            cols = np.empty(len(row), dtype=np.intp)
-            vals = np.empty(len(row), dtype=np.float64)
-            for j, (out, p) in enumerate(row.items()):
-                k = position(out)
-                if k is None:
-                    raise ValueError(
-                        f"channel '{id}': row {lid!r} refers to {out!r}, not a letter "
-                        f"of '{target.id}'"
-                    )
-                cols[j] = k
-                p = float(p)
-                if p < 0.0:
-                    raise ValueError(
-                        f"channel '{id}': negative conditional probability {p!r} "
-                        f"in row {lid!r}"
-                    )
-                vals[j] = p
-            total = float(vals.sum())
-            if abs(total - 1.0) > ROW_MASS_TOLERANCE:
-                raise ValueError(
-                    f"channel '{id}': row {lid!r} sums to {total!r} "
-                    f"(expected 1 within {ROW_MASS_TOLERANCE})"
-                )
-            sizes[i] = len(row)
-            col_chunks.append(cols)
-            val_chunks.append(vals)
-        return cls(
-            id,
-            source,
-            target,
-            *_merge_entries(
-                n_out,
-                np.repeat(np.arange(n_in, dtype=np.intp), sizes),
-                np.concatenate(col_chunks),
-                np.concatenate(val_chunks),
-            ),
-        )
+        sizes = [len(row) for row in rows.values()]
+        _require_declared_size(id, "stochastic", source, target, sum(sizes))
+        keys = _exact_positions(id, source, rows, "row key")
+        cols = []
+        for lid, row in rows.items():
+            cols += _exact_positions(id, target, row, f"row {lid!r}: target")
+        vals = [p for row in rows.values() for p in row.values()]
+        return cls._from_rows(id, source, target, keys, sizes, cols, vals)
 
     # ---- inspection ----------------------------------------------------
 
@@ -299,16 +306,6 @@ def _require_derived_size(total: int) -> None:
         )
 
 
-def _merge_entries(
-    n_cols: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort entries by (row, col) and add up entries on the same pair, in
-    their given order."""
-    keys, where = np.unique(rows * n_cols + cols, return_inverse=True)
-    summed = np.bincount(where, weights=vals, minlength=len(keys))
-    return keys // n_cols, keys % n_cols, summed
-
-
 def push_forward(prior: Pmf, c: Channel) -> Pmf:
     """Distribution induced on the target by sending ``prior`` through ``c``.
 
@@ -340,13 +337,11 @@ def compose(c1: Channel, c2: Channel) -> Channel:
     pick = np.repeat(first_of_row[c1.cols] - first_of_entry, fan) + np.arange(
         total, dtype=np.intp
     )
-    entries = _merge_entries(
-        c2.target.n_letters,
-        np.repeat(c1.rows, fan),
-        c2.cols[pick],
-        np.repeat(c1.vals, fan) * c2.vals[pick],
-    )
-    return Channel(f"{c1.id}*{c2.id}", c1.source, c2.target, *entries)
+    # sort the entries by (row, col), adding up those on one pair in order
+    n_cols = c2.target.n_letters
+    keys, where = np.unique(np.repeat(c1.rows, fan) * n_cols + c2.cols[pick], return_inverse=True)
+    vals = np.bincount(where, weights=np.repeat(c1.vals, fan) * c2.vals[pick], minlength=len(keys))
+    return Channel(f"{c1.id}*{c2.id}", c1.source, c2.target, keys // n_cols, keys % n_cols, vals)
 
 
 def bayes_inverse(c: Channel, prior: Pmf) -> Channel:

@@ -19,7 +19,7 @@ from typing import Any, Callable, Mapping
 
 from .alphabet import Alphabet, LetterId, Pmf, entropy, make_quantized_range
 from .axis import AbstractionAxis, NodeKind, RepresentationNode
-from .channel import MAX_DETERMINISTIC_LETTERS, Channel, _same_letters
+from .channel import MAX_DETERMINISTIC_LETTERS, Channel, _require_declared_size, _same_letters
 from .costbenefit import (
     BAYES,
     AbstractionJudgment,
@@ -113,35 +113,38 @@ def _check_keys(obj: dict, path: str, required: tuple, optional: tuple = ()) -> 
             _fail(f"{path}.{key}", "unknown key")
 
 
-def _letter_key(alphabet: Alphabet, key: Any, path: str) -> LetterId:
+def _letter_position(alphabet: Alphabet, key: Any, path: str) -> int:
     # JSON object keys are strings even when an alphabet uses integer ids
     if isinstance(key, (str, int)) and not isinstance(key, bool):
         position = alphabet.pmf.position
-        if position(key) is not None:
-            return key
-        if isinstance(key, str):
+        k = position(key)
+        if k is None:
             try:
-                as_int = int(key)
+                k = position(int(key) if isinstance(key, str) else str(key))
             except ValueError:
-                as_int = None
-            if as_int is not None and position(as_int) is not None:
-                return as_int
-        elif position(str(key)) is not None:
-            return str(key)
+                pass
+        if k is not None:
+            return k
     _fail(path, f"{key!r} is not a letter of alphabet '{alphabet.id}'")
 
 
-def _by_letter(alphabet: Alphabet, raw: dict, path: str, value_of) -> dict:
-    """``{letter: value_of(value, path)}`` for a JSON object keyed by letters
-    of ``alphabet``. An entry's own path, ``path[key]``, is formatted only
-    when that entry fails."""
-    out = {}
+def _by_position(alphabet: Alphabet, raw: dict, path: str, value_of) -> tuple[list, list]:
+    """Positions in ``alphabet`` of the keys of a JSON object, and
+    ``value_of(value, path)`` of its values, in the object's order. Two keys
+    naming one letter fail at the later one. An entry's own path,
+    ``path[key]``, is formatted only when that entry fails."""
+    seen: dict = {}  # position: key, in the object's order
+    values = []
     for key, value in raw.items():
         try:
-            out[_letter_key(alphabet, key, path)] = value_of(value, path)
+            k = _letter_position(alphabet, key, path)
+            if k in seen:
+                _fail(path, f"{key!r} names the same letter as {seen[k]!r}")
+            seen[k] = key
+            values.append(value_of(value, path))
         except ScenarioError as e:
             raise ScenarioError(f"{path}[{key!r}]", e.message) from None
-    return out
+    return list(seen), values
 
 
 @dataclass
@@ -270,29 +273,33 @@ def _build_channel(decl: Any, path: str, alphabets: dict[str, Alphabet]) -> Chan
                 return Channel.quantizer(cid, source, target, pixels)
             except ValueError as e:
                 _fail(f"{path}.deterministic.quantizer", str(e))
-        raw_map = _as_obj(spec["map"], f"{path}.deterministic.map")
-        mapping = _by_letter(
-            source,
-            raw_map,
-            f"{path}.deterministic.map",
-            lambda value, vpath: _letter_key(target, value, vpath),
+        mpath = f"{path}.deterministic.map"
+        sources, images = _by_position(
+            source, _as_obj(spec["map"], mpath), mpath, lambda v, p: _letter_position(target, v, p)
         )
         try:
-            return Channel.deterministic(cid, source, target, mapping)
+            return Channel._from_map(cid, source, target, sources, images)
         except ValueError as e:
-            _fail(f"{path}.deterministic.map", str(e))
+            _fail(mpath, str(e))
     spec = _as_obj(decl["stochastic"], f"{path}.stochastic")
     _check_keys(spec, f"{path}.stochastic", ("rows",))
-    raw_rows = _as_obj(spec["rows"], f"{path}.stochastic.rows")
-    rows = {}
-    for key, row in raw_rows.items():
-        kpath = f"{path}.stochastic.rows[{key!r}]"
-        row = _as_obj(row, kpath)
-        rows[_letter_key(source, key, kpath)] = _by_letter(target, row, kpath, _as_number)
+    rpath = f"{path}.stochastic.rows"
+    raw_rows = _as_obj(spec["rows"], rpath)
+    keys, rows = _by_position(source, raw_rows, rpath, _as_obj)
+    sizes = [len(row) for row in rows]
     try:
-        return Channel.stochastic(cid, source, target, rows)
+        _require_declared_size(cid, "stochastic", source, target, sum(sizes))
     except ValueError as e:
-        _fail(f"{path}.stochastic.rows", str(e))
+        _fail(rpath, str(e))
+    cols, vals = [], []
+    for key, row in zip(raw_rows, rows):
+        row_cols, row_vals = _by_position(target, row, f"{rpath}[{key!r}]", _as_number)
+        cols += row_cols
+        vals += row_vals
+    try:
+        return Channel._from_rows(cid, source, target, keys, sizes, cols, vals)
+    except ValueError as e:
+        _fail(rpath, str(e))
 
 
 def _build_stage(decl: Any, path: str, channels: dict[str, Channel]) -> Stage:
@@ -333,14 +340,11 @@ def _build_pipeline(decl: Any, path: str, stages: dict[str, Stage]) -> Pipeline:
     if "prior" in decl:
         raw = _as_obj(decl["prior"], f"{path}.prior")
         first = resolved[0].forward.source
-        probs = _by_letter(first, raw, f"{path}.prior", _as_number)
-        if len(probs) != first.n_letters:
-            _fail(
-                f"{path}.prior",
-                f"covers {len(probs)} of {first.n_letters} letters of "
-                f"'{first.id}'",
-            )
-        prior = Pmf(probs)
+        found, probs = _by_position(first, raw, f"{path}.prior", _as_number)
+        if len(found) != first.n_letters:
+            covers = f"covers {len(found)} of {first.n_letters} letters of '{first.id}'"
+            _fail(f"{path}.prior", covers)
+        prior = Pmf(dict(zip([first.letter_ids[k] for k in found], probs)))
         problems = prior.violations()
         if problems:
             _fail(f"{path}.prior", "; ".join(problems))

@@ -101,10 +101,10 @@ class TestQuantizedRange:
 
     def test_grid_letter_lookup(self):
         a = make_quantized_range(0, 10, 1)
-        assert a.has_letter(0)
-        assert a.has_letter(10)
-        assert not a.has_letter(11)
-        assert not a.has_letter("3")
+        assert 0 in a.pmf
+        assert 10 in a.pmf
+        assert 11 not in a.pmf
+        assert "3" not in a.pmf
         assert a.index_of(4) == 4
         with pytest.raises(KeyError):
             a.index_of("4")

@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from absmeter import (
     compose,
     entropy,
     kl_divergence,
+    loads_scenario,
     make_quantized_range,
     potential_distortion,
     push_forward,
@@ -23,6 +26,7 @@ from absmeter import (
 from absmeter.channel import (
     MAX_DERIVED_NONZEROS,
     MAX_DETERMINISTIC_LETTERS,
+    MAX_STOCHASTIC_ENTRIES,
     MAX_STOCHASTIC_LETTERS,
     _bayes_round_trip,
 )
@@ -55,6 +59,85 @@ class TestConstruction:
             )
         with pytest.raises(ValueError, match="no conditional row"):
             Channel.stochastic("s", a, b, {"a0": {"b0": 1.0}})
+
+    # rows over a0..a2 -> b0, b1 with several faults each, and the one reported:
+    # the earliest failing source, a negative entry before its row's sum
+    MULTI_ERROR = {
+        "negative-before-later-sum-and-missing-row": (
+            {"a0": {"b0": 1.5, "b1": -0.5}, "a1": {"b0": 0.9}},
+            "negative conditional probability -0.5 in row {a0}",
+        ),
+        "sum-before-later-negative-and-missing-row": (
+            {"a0": {"b0": 0.9}, "a1": {"b0": 1.5, "b1": -0.5}},
+            "row {a0} sums to 0.9 (expected 1 within 1e-09)",
+        ),
+        "missing-row-before-later-negative-and-sum": (
+            {"a1": {"b0": 1.5, "b1": -0.5}, "a2": {"b0": 0.9}},
+            "no conditional row for source letter {a0}",
+        ),
+        "source-order-not-declaration-order": (
+            {"a2": {"b0": 0.9}, "a1": {"b0": 1.5, "b1": -0.5}, "a0": {"b0": 1.0}},
+            "negative conditional probability -0.5 in row {a1}",
+        ),
+        "negative-before-own-row-sum": (
+            {"a0": {"b0": 0.25, "b1": 0.75}, "a1": {"b0": 0.5, "b1": -0.7}},
+            "negative conditional probability -0.7 in row {a1}",
+        ),
+        "empty-row-sums-to-zero": (
+            {"a0": {}, "a1": {"b0": -1.0}},
+            "row {a0} sums to 0.0 (expected 1 within 1e-09)",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MULTI_ERROR))
+    def test_stochastic_reports_first_failing_row(self, case):
+        rows, expected = self.MULTI_ERROR[case]
+        a, b = uniform(3, "a"), uniform(2, "b")
+        with pytest.raises(ValueError) as api:
+            Channel.stochastic("s", a, b, rows)
+        assert str(api.value) == "channel 's': " + expected.format(
+            a0="'a0'", a1="'a1'"
+        )
+        # the loader checks the same rows over the letters "0".."2" and "0", "1"
+        declared = {
+            key[1:]: {out[1:]: p for out, p in row.items()} for key, row in rows.items()
+        }
+        data = {
+            "alphabets": [
+                {"id": "a", "uniform_count": 3},
+                {"id": "b", "uniform_count": 2},
+            ],
+            "channels": [
+                {"id": "s", "from": "a", "to": "b", "stochastic": {"rows": declared}}
+            ],
+        }
+        with pytest.raises(ValueError) as loaded:
+            loads_scenario(json.dumps(data))
+        assert str(loaded.value) == (
+            "channels[0].stochastic.rows: channel 's': "
+            + expected.format(a0="'0'", a1="'1'")
+        )
+
+    def test_stochastic_rejects_nan_rows(self):
+        a, b = uniform(2, "a"), uniform(2, "b")
+        with pytest.raises(ValueError, match="row 'a0' sums to nan"):
+            Channel.stochastic("s", a, b, {"a0": {"b0": math.nan}, "a1": {"b1": 1.0}})
+
+    def test_stochastic_entry_budget_checked_before_building(self):
+        # one shared 257-entry row for each of 4096 sources: 2^20 + 4096 entries
+        a, b = uniform(MAX_STOCHASTIC_LETTERS, "a"), uniform(257, "b")
+        row = {lid: 0.0 for lid in b.letter_ids} | {"b0": 1.0}
+        rows = dict.fromkeys(a.letter_ids, row)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="more than the 1048576 supported"):
+                Channel.stochastic("s", a, b, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one entry array alone would take 8 MiB
+        assert peak < 1 << 20
+        assert MAX_STOCHASTIC_ENTRIES == 4096 * 256
 
     def test_deterministic_size_bound(self):
         big = make_quantized_range(0, MAX_DETERMINISTIC_LETTERS, 1, id="big")

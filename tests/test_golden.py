@@ -1,31 +1,49 @@
 """Pinned report bytes: every renderer's output on the fixtures and exemplars.
 
 Each scenario is analyzed once in process and rendered in all three formats;
-`absmeter axis` runs through `cli.main`. The expected bytes live in
+`absmeter axis` runs through `cli.main`. Besides the fixtures and exemplars,
+the benchmark's seed-1 stochastic scenario (`perfbench/workloads.py`) pins
+the stochastic loader at the 4096-letter limit. The expected bytes live in
 `tests/golden/`. To rewrite them after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
 import contextlib
 import io
+import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from absmeter import EXEMPLAR_NAMES, analyze, exemplar, load_scenario
+from absmeter import EXEMPLAR_NAMES, analyze, exemplar, load_scenario, loads_scenario
 from absmeter.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
 SUFFIX = {"json": "json", "csv": "csv", "table": "txt"}
-SCENARIOS = tuple(sorted(p.stem for p in FIXTURES.glob("*.json"))) + EXEMPLAR_NAMES
+GENERATED = {"stochastic-4096-seed1": 1}
+SCENARIOS = (
+    tuple(sorted(p.stem for p in FIXTURES.glob("*.json"))) + EXEMPLAR_NAMES + tuple(GENERATED)
+)
 AXIS_RUNS = {
     "molecular_axes.axis": [],
     "molecular_axes.axis-bond-structure": ["--axis", "bond-structure"],
 }
 
 
+def _generated(seed: int):
+    if str(PERFBENCH) not in sys.path:
+        sys.path.append(str(PERFBENCH))
+    from workloads import stochastic_declaration
+
+    return loads_scenario(json.dumps(stochastic_declaration(seed)))
+
+
 def _load(name: str):
+    if name in GENERATED:
+        return _generated(GENERATED[name])
     path = FIXTURES / f"{name}.json"
     return load_scenario(path) if path.exists() else exemplar(name)
 

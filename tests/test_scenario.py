@@ -1,7 +1,9 @@
 """Tests for scenario file parsing, validation, and round-tripping."""
 
+import copy
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -21,6 +23,8 @@ from absmeter import (
     loads_scenario,
     parse_scenario,
 )
+from absmeter.channel import MAX_STOCHASTIC_ENTRIES
+from absmeter.cli import main
 
 
 def minimal() -> dict:
@@ -354,6 +358,147 @@ class TestLetterKeyCoercion:
         data = minimal()
         data["channels"][0]["deterministic"]["map"] = {"0": 0, "1": 0, "2": 1, "3": 1}
         assert parse(data).channels["halve"].image_of("2") == "1"
+
+
+def grid(id: str, n: int) -> dict:
+    """Alphabet over the integer letters 0..n-1."""
+    return {"id": id, "uniform_range": {"min": 0, "max": n - 1, "step": 1}}
+
+
+# Each declaration has two keys of one JSON object that name the same
+# integer letter; both used to be accepted, the later key winning.
+DUPLICATE_KEYS = {
+    "map-key": (
+        {
+            "alphabets": [grid("a", 3), {"id": "b", "uniform_count": 2}],
+            "channels": [
+                {
+                    "id": "f",
+                    "from": "a",
+                    "to": "b",
+                    "deterministic": {"map": {"0": "0", "1": "0", "2": "0", "+2": "1"}},
+                }
+            ],
+        },
+        "channels[0].deterministic.map['+2']",
+        "'+2' names the same letter as '2'",
+    ),
+    "row-key": (
+        {
+            "alphabets": [grid("a", 2), {"id": "b", "uniform_count": 1}],
+            "channels": [
+                {
+                    "id": "s",
+                    "from": "a",
+                    "to": "b",
+                    "stochastic": {
+                        "rows": {"0": {"0": 1.0}, "1": {"0": 1.0}, "01": {"0": 1.0}}
+                    },
+                }
+            ],
+        },
+        "channels[0].stochastic.rows['01']",
+        "'01' names the same letter as '1'",
+    ),
+    "row-entry": (
+        {
+            "alphabets": [{"id": "a", "uniform_count": 1}, grid("b", 2)],
+            "channels": [
+                {
+                    "id": "s",
+                    "from": "a",
+                    "to": "b",
+                    "stochastic": {"rows": {"0": {"0": 0.5, "00": 0.5, "1": 0.5}}},
+                }
+            ],
+        },
+        "channels[0].stochastic.rows['0']['00']",
+        "'00' names the same letter as '0'",
+    ),
+    "prior-key": (
+        {
+            "alphabets": [grid("a", 2), {"id": "b", "uniform_count": 1}],
+            "channels": [
+                {"id": "f", "from": "a", "to": "b", "deterministic": {"map": {"0": "0", "1": "0"}}},
+                {"id": "g", "from": "b", "to": "b", "deterministic": {"map": {"0": "0"}}},
+            ],
+            "stages": [
+                {"id": "s1", "forward": "f", "cost": 1.0},
+                {"id": "s2", "forward": "g", "cost": 1.0},
+            ],
+            "pipelines": [
+                {"id": "p", "stages": ["s1", "s2"], "prior": {"0": 0.5, "1": 0.25, "+1": 0.5}}
+            ],
+        },
+        "pipelines[0].prior['+1']",
+        "'+1' names the same letter as '1'",
+    ),
+}
+
+
+class TestDuplicateLetterKeys:
+    @pytest.mark.parametrize("case", sorted(DUPLICATE_KEYS))
+    def test_two_keys_for_one_letter_fail_at_the_later(self, case, tmp_path, capsys):
+        data, path, message = DUPLICATE_KEYS[case]
+        e = err(data)
+        assert e.path == path
+        assert e.message == message
+        target = tmp_path / "duplicate.json"
+        target.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["validate", str(target)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_distinct_spellings_of_distinct_letters_still_load(self):
+        data = copy.deepcopy(DUPLICATE_KEYS["map-key"][0])
+        data["channels"][0]["deterministic"]["map"] = {"0": "0", "+1": "0", "02": "1"}
+        channel = parse(data).channels["f"]
+        assert [channel.image_of(i) for i in range(3)] == ["0", "0", "1"]
+
+
+class TestStochasticEntryBudget:
+    def budget_probe(self) -> dict:
+        """4096 rows of 257 entries each: 4096 entries over the budget."""
+        row = {str(j): 0.0 for j in range(257)} | {"0": 1.0}
+        return {
+            "alphabets": [
+                {"id": "a", "uniform_count": 4096},
+                {"id": "b", "uniform_count": 257},
+            ],
+            "channels": [
+                {
+                    "id": "wide",
+                    "from": "a",
+                    "to": "b",
+                    "stochastic": {"rows": {str(i): row for i in range(4096)}},
+                }
+            ],
+        }
+
+    def test_refused_at_rows_before_any_entry_array(self):
+        data = self.budget_probe()  # every row is one shared object
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScenarioError) as exc_info:
+                parse_scenario(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        e = exc_info.value
+        assert e.path == "channels[0].stochastic.rows"
+        assert e.message == (
+            f"channel 'wide': {4096 * 257} conditional entries, more than the "
+            f"{MAX_STOCHASTIC_ENTRIES} supported"
+        )
+        # two alphabets and the row keys; one entry array would take 8 MiB
+        assert peak < 2 << 20
+
+    def test_refused_with_exit_one(self, tmp_path, capsys):
+        target = tmp_path / "wide.json"
+        target.write_text(json.dumps(self.budget_probe()), encoding="utf-8")
+        assert main(["validate", str(target)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: channels[0].stochastic.rows: channel 'wide': 1052672 conditional entries"
+        )
 
 
 class TestStageValidation:
