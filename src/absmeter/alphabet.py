@@ -11,8 +11,8 @@ No per-letter objects are kept. An alphabet's pmf shares its id sequence,
 and the pmf holds the one id-to-position index. An alphabet built from a
 numeric grid (`make_quantized_range`) has the ids ``range(n)`` and keeps
 only the grid's ``(lo, step, decimals)``; its ``values`` array is computed
-on first read, and quantizing channels compute the values they need block by
-block without ever building it. Nothing keeps per-letter state; this is what
+on first read, and quantizing channels compute only the values they need,
+without ever building it. Nothing keeps per-letter state; this is what
 keeps exact summation over about a million letters fast.
 
 A pmf's vector is read-only. Vectors the package has just computed are
@@ -47,11 +47,12 @@ class Pmf:
     Probabilities are stored as a dense float64 vector aligned with ``ids``.
     Construction records whatever it is given; `violations` reports problems
     and the numeric operations refuse to run on an invalid pmf. Instances
-    are treated as immutable after construction, so `entropy` caches its
+    are treated as immutable after construction, so `violations` records
+    whether a valid pmf is strictly positive, and `entropy` caches its
     result on the pmf once `require_valid` has passed.
     """
 
-    __slots__ = ("_ids", "_vec", "_index", "_checked", "_entropy")
+    __slots__ = ("_ids", "_vec", "_index", "_checked", "_positive", "_entropy")
 
     def __init__(self, probabilities: Mapping[LetterId, float]):
         ids = tuple(probabilities.keys())
@@ -61,6 +62,7 @@ class Pmf:
         self._vec = vec
         self._index: dict[LetterId, int] | None = None
         self._checked = False
+        self._positive = False
         self._entropy: float | None = None
 
     @classmethod
@@ -85,6 +87,7 @@ class Pmf:
         self._vec = vec
         self._index = None
         self._checked = False
+        self._positive = False
         self._entropy = None
         return self
 
@@ -137,7 +140,7 @@ class Pmf:
         """All ways this pmf fails to be a probability distribution.
 
         A pmf found without problems is marked checked, so `require_valid`
-        does not scan it again.
+        does not scan it again, and marked positive when no mass is zero.
         """
         problems: list[str] = []
         if len(self._ids) == 0:
@@ -146,19 +149,23 @@ class Pmf:
         # ranges cannot repeat; only explicit id collections need the check
         if not isinstance(self._ids, range) and len(self._ensure_index()) != len(self._ids):
             problems.append("duplicate letter ids in pmf")
-        neg = np.flatnonzero(self._vec < 0.0)
-        for i in neg[:8]:
-            problems.append(
-                f"letter {self._ids[int(i)]!r}: negative mass {float(self._vec[int(i)])!r}"
-            )
-        if len(neg) > 8:
-            problems.append(f"{len(neg) - 8} further letters with negative mass")
+        low = self._vec.min()
+        # a NaN minimum also lands here; the mass check below reports it
+        if not low >= 0.0:
+            neg = np.flatnonzero(self._vec < 0.0)
+            for i in neg[:8]:
+                problems.append(
+                    f"letter {self._ids[int(i)]!r}: negative mass {float(self._vec[int(i)])!r}"
+                )
+            if len(neg) > 8:
+                problems.append(f"{len(neg) - 8} further letters with negative mass")
         total = self.mass()
         if not math.isfinite(total) or abs(total - 1.0) > MASS_TOLERANCE:
             problems.append(
                 f"mass sums to {total!r} (expected 1 within {MASS_TOLERANCE})"
             )
         self._checked = not problems
+        self._positive = self._checked and bool(low > 0.0)
         return problems
 
     def require_valid(self) -> None:
@@ -312,7 +319,7 @@ def entropy(a: Alphabet | Pmf) -> float:
     pmf.require_valid()
     if pmf._entropy is None:
         v = pmf.vec
-        if not v.min() > 0.0:
+        if not pmf._positive:
             v = v[v > 0.0]
         # a one-letter pmf gives -1*log2(1) = -0.0; normalize the sign
         pmf._entropy = -float(np.dot(v, np.log2(v))) + 0.0
@@ -330,10 +337,13 @@ def kl_divergence(q: Pmf, p: Pmf) -> float:
     p.require_valid()
     qv = q.vec
     pv = p.aligned_to(q.ids)
-    if not qv.min() > 0.0:
+    if q._positive:
+        positive = p._positive
+    else:
         support = qv > 0.0
         qv, pv = qv[support], pv[support]
-    if not pv.min() > 0.0:
+        positive = pv.min() > 0.0
+    if not positive:
         return math.inf
     # log difference, not log of ratio: q/p can overflow when p is denormal
     diff = np.empty(len(qv))

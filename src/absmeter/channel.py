@@ -11,7 +11,10 @@ equal-length numpy arrays holding the source index (non-decreasing), the
 target index (ascending within a source) and the conditional probability. A
 deterministic channel is the case of one entry per source with value 1; its
 ``vals`` is a read-only zero-stride view of 1.0 (``np.broadcast_to``), so
-callers must not assume ``vals`` is contiguous or writeable.
+callers must not assume ``vals`` is contiguous or writeable. With one entry
+per source the entries are the sources in order: such a channel stores no
+source index array, ``rows`` is built on first read, and the operations
+skip the gather it would drive.
 Declared channels are checked once, by one constructor per kind:
 `_from_map` refuses a source left without an image, `quantizer` computes a
 grid's image, and `_from_rows` checks on whole arrays that every source has
@@ -104,26 +107,35 @@ class Channel:
 
     ``rows``, ``cols`` and ``vals`` are the entry list described in the
     module docstring; the constructor trusts them to be sorted and every
-    source to have at least one entry.
+    source to have at least one entry. With one entry per source (``len(cols)
+    == source.n_letters``) ``rows`` may be given as None: the entries are then
+    the sources in order, and ``rows`` is built on first read.
     """
 
-    __slots__ = ("id", "source", "target", "rows", "cols", "vals")
+    __slots__ = ("id", "source", "target", "_rows", "cols", "vals")
 
     def __init__(
         self,
         id: str,
         source: Alphabet,
         target: Alphabet,
-        rows: np.ndarray,
+        rows: np.ndarray | None,
         cols: np.ndarray,
         vals: np.ndarray,
     ):
         self.id = id
         self.source = source
         self.target = target
-        self.rows = rows
+        self._rows = rows
         self.cols = cols
         self.vals = vals
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Source index of each entry."""
+        if self._rows is None:
+            self._rows = np.arange(len(self.cols), dtype=np.intp)
+        return self._rows
 
     # ---- constructors -------------------------------------------------
 
@@ -135,7 +147,7 @@ class Channel:
         # what np.broadcast_to(1.0, n) gives, without its Python-level set-up
         ones = np.ndarray((n,), np.float64, np.ones(1), strides=(0,))
         ones.flags.writeable = False
-        return cls(id, source, target, np.arange(n, dtype=np.intp), targets, ones)
+        return cls(id, source, target, None, targets, ones)
 
     @classmethod
     def _from_map(
@@ -230,18 +242,33 @@ class Channel:
         n = source.n_letters
         lo, hi = _grid_values(grid, np.array([0.0, n - 1.0])).tolist()
         if pixels == 1 or hi == lo:
-            image = np.zeros(n, dtype=np.intp)
-        else:
-            # floor((v - lo) * scale + 0.5), one block of grid values at a time
-            image = np.empty(n, dtype=np.intp)
-            scale = (pixels - 1) / (hi - lo)
-            for start in range(0, n, _BLOCK):
-                end = min(start + _BLOCK, n)
-                scaled = _grid_values(grid, np.arange(start, end, dtype=np.float64))
-                np.subtract(scaled, lo, out=scaled)
-                np.multiply(scaled, scale, out=scaled)
-                np.add(scaled, 0.5, out=scaled)
-                np.floor(scaled, out=image[start:end], casting="unsafe")
+            return cls._from_targets(id, source, target, np.zeros(n, dtype=np.intp))
+        scale = (pixels - 1) / (hi - lo)
+
+        def level(k: np.ndarray) -> np.ndarray:
+            v = _grid_values(grid, k.astype(np.float64))
+            np.subtract(v, lo, out=v)
+            np.multiply(v, scale, out=v)
+            np.add(v, 0.5, out=v)
+            return np.floor(v, out=v).astype(np.intp)
+
+        # The level is monotone non-decreasing in the position: every IEEE
+        # step of it (times step > 0, plus lo, rounding, minus lo, times
+        # scale > 0, plus 0.5, floor) is. So letters between two positions of
+        # equal level share that level, and the formula is needed only at the
+        # ends of each stride and inside the at most pixels - 1 strides where
+        # the level changes. A stride of about sqrt(n / pixels) balances the
+        # two counts. Below n = 2 * pixels it is 1: every letter is an end.
+        stride = 1 << ((n // pixels).bit_length() // 2)
+        ends = np.arange(0, n - 1 + stride, stride)
+        ends[-1] = n - 1
+        at_ends = level(ends)
+        image = np.repeat(at_ends, np.append(np.diff(ends), 1))
+        changed = ends[:-1][at_ends[:-1] != at_ends[1:]]
+        if stride > 1 and len(changed):
+            inside = (changed[:, None] + np.arange(1, stride)).ravel()
+            inside = inside[inside < n - 1]
+            image[inside] = level(inside)
         return cls._from_targets(id, source, target, image)
 
     @classmethod
@@ -306,6 +333,20 @@ def _require_derived_size(total: int) -> None:
         )
 
 
+def _joint(pvec: np.ndarray, c: Channel) -> np.ndarray:
+    """Joint mass ``pvec[c.rows] * c.vals`` of each entry of ``c``.
+
+    With one entry per source the entries are the sources in order, so the
+    gather drops out, and with ``vals`` the zero-stride view of 1.0 the joint
+    is ``pvec`` itself (x * 1.0 == x).
+    """
+    if len(c.cols) != c.source.n_letters:
+        return pvec[c.rows] * c.vals
+    if c.vals.strides == (0,) and c.vals[0] == 1.0:
+        return pvec
+    return pvec * c.vals
+
+
 def push_forward(prior: Pmf, c: Channel) -> Pmf:
     """Distribution induced on the target by sending ``prior`` through ``c``.
 
@@ -313,8 +354,7 @@ def push_forward(prior: Pmf, c: Channel) -> Pmf:
     """
     prior.require_valid()
     pvec = prior.aligned_to(c.source.letter_ids)
-    weights = pvec[c.rows] * c.vals
-    out = np.bincount(c.cols, weights=weights, minlength=c.target.n_letters)
+    out = np.bincount(c.cols, weights=_joint(pvec, c), minlength=c.target.n_letters)
     out.flags.writeable = False
     return Pmf.from_vector(c.target.letter_ids, out)
 
@@ -353,7 +393,7 @@ def bayes_inverse(c: Channel, prior: Pmf) -> Channel:
     """
     prior.require_valid()
     pvec = prior.aligned_to(c.source.letter_ids)
-    joint = pvec[c.rows] * c.vals
+    joint = _joint(pvec, c)
     marginal = np.bincount(c.cols, weights=joint, minlength=c.target.n_letters)
     reach = marginal > 0.0
     keep = reach[c.cols]
@@ -385,18 +425,13 @@ def _bayes_round_trip(prior: Pmf, c: Channel) -> tuple[Pmf, Pmf]:
     The terms are added per source in ascending target order, as the
     inverse's rows add them, so both results are the same float for float.
     With one entry per source (every deterministic channel) the entries are
-    the sources in order, so the gather and the per-source sum drop out, and
-    with ``vals`` the zero-stride view of 1.0 the joint is the prior itself
-    (x * 1.0 == x). ``+ 0.0`` turns a -0.0 into 0.0 as summing from zero
-    does. The marginal is gathered back one block at a time.
+    the sources in order, so the per-source sum drops out. ``+ 0.0`` turns a
+    -0.0 into 0.0 as summing from zero does. The marginal is gathered back
+    one block at a time.
     """
     prior.require_valid()
     pvec = prior.aligned_to(c.source.letter_ids)
-    one_per_source = len(c.rows) == c.source.n_letters
-    if one_per_source and c.vals.strides == (0,) and c.vals[0] == 1.0:
-        joint = pvec
-    else:
-        joint = (pvec if one_per_source else pvec[c.rows]) * c.vals
+    joint = _joint(pvec, c)
     marginal = np.bincount(c.cols, weights=joint, minlength=c.target.n_letters)
     # m * (joint / m) rather than joint: the inverse stores joint / m
     back = np.zeros(len(joint))
@@ -410,7 +445,7 @@ def _bayes_round_trip(prior: Pmf, c: Channel) -> tuple[Pmf, Pmf]:
         np.divide(joint[start:end], mb, out=out, where=mb > 0.0)
         np.multiply(out, mb, out=out)
         np.add(out, 0.0, out=out)
-    if one_per_source:
+    if len(c.cols) == c.source.n_letters:
         q = back
     else:
         q = np.bincount(c.rows, weights=back, minlength=c.source.n_letters)

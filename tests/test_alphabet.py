@@ -133,6 +133,21 @@ class TestPmf:
     def test_valid_pmf_has_no_violations(self):
         assert Pmf({"a": 0.5, "b": 0.5}).violations() == []
 
+    @pytest.mark.parametrize(
+        "d, problems",
+        [
+            (
+                {"a": math.nan, "b": -0.25, "c": 0.5},
+                ["letter 'b': negative mass -0.25", "mass sums to nan (expected 1 within 1e-09)"],
+            ),
+            ({"a": -0.0, "b": 1.0}, []),
+            ({"a": 0.0, "b": -0.0}, ["mass sums to 0.0 (expected 1 within 1e-09)"]),
+        ],
+        ids=["nan-and-negative", "negative-zero", "all-zero"],
+    )
+    def test_violation_messages(self, d, problems):
+        assert Pmf(d).violations() == problems
+
     def test_aligned_to_reorders(self):
         p = Pmf({"a": 0.1, "b": 0.2, "c": 0.7})
         assert np.allclose(p.aligned_to(("c", "a", "b")), [0.7, 0.1, 0.2])
@@ -258,6 +273,25 @@ class TestCachingAndCopies:
         d = kl_divergence(Pmf(q), Pmf(p))
         expected = oracles.kl_bits(q, p)
         assert d == expected if math.isinf(expected) else abs(d - expected) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "q, p, expected",
+        [
+            (PARTIAL, None, 1.0),
+            ({"a": -0.0, "b": 1.0}, None, 0.0),
+            ({"a": 0.2, "b": 0.0, "c": 0.8}, None, 0.7219280948873623),
+            ({"a": 0.25, "b": 0.0, "c": 0.75}, {"a": 0.2, "b": -0.0, "c": 0.8}, 0.010649970428229405),
+            ({"a": 0.2, "b": 0.0, "c": 0.8}, {"a": 0.25, "b": 0.5, "c": 0.25}, 1.278071905112638),
+            (FULL, {"a": 0.5, "b": 0.5, "c": 0.0}, math.inf),
+            ({"a": 0.5, "b": 0.5, "c": 0.0}, {"a": 0.2, "b": 0.0, "c": 0.8}, math.inf),
+        ],
+        ids=["H-partial", "H-certain", "H-zero", "kl-both-zero", "kl-q-zero", "kl-p-zero",
+             "kl-off-support"],
+    )
+    def test_zero_mass_results_are_pinned(self, q, p, expected):
+        # p None means H(q); the entropy of a certain pmf is +0.0
+        got = entropy(Pmf(q)) if p is None else kl_divergence(Pmf(q), Pmf(p))
+        assert got == expected and math.copysign(1.0, got) == 1.0
 
     def test_from_vector_copies_a_writeable_array(self):
         vec = np.array([0.25, 0.75])

@@ -1,16 +1,17 @@
-"""Blocked kernels against unblocked references, bit for bit.
+"""Blocked and strided kernels against whole-vector references, bit for bit.
 
-Grid values, quantizer images, the one-entry-per-source Bayes round trip and
-the KL divergence work through long vectors one block at a time. Each is
-compared here with the whole-vector computation it replaces, at lengths
-around the block boundary and at the barchart's 1,000,001 letters, with
-`np.array_equal` and equal sign bits.
+Grid values, the one-entry-per-source Bayes round trip and the KL divergence
+work through long vectors one block at a time; a quantizer image is filled
+stride by stride from the levels at the stride ends. Each is compared here
+with the whole-vector computation it replaces, at lengths around the block
+boundary and at the barchart's 1,000,001 letters, with `np.array_equal` and
+equal sign bits.
 """
 
 import numpy as np
 import pytest
 
-from absmeter import Channel, Pmf, kl_divergence, make_quantized_range
+from absmeter import Channel, Pmf, channel, kl_divergence, make_quantized_range
 from absmeter.alphabet import _BLOCK
 from absmeter.channel import _bayes_round_trip
 
@@ -50,9 +51,12 @@ def test_grid_values(n, lo, step, decimals):
     assert not values.flags.writeable
 
 
+# strides of 1 where n < 2 * pixels (every size at 1_000_001 pixels, the
+# sizes around _BLOCK at 40_000), of 2 to 512 letters otherwise; the last
+# stride is cut short unless the stride divides n - 1
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("lo, step, decimals", GRIDS)
-@pytest.mark.parametrize("pixels", [1, 2, 1001])
+@pytest.mark.parametrize("pixels", [1, 2, 3, 1001, 40_000, 1_000_001])
 def test_quantizer_image(n, lo, step, decimals, pixels):
     source = grid(lo, step, n)
     target = make_quantized_range(0, pixels - 1, 1)
@@ -70,6 +74,27 @@ def test_quantizer_image(n, lo, step, decimals, pixels):
     # one entry per source: a read-only zero-stride view of 1.0
     assert c.vals.strides == (0,) and not c.vals.flags.writeable
     assert np.array_equal(c.vals, np.ones(n))
+
+
+@pytest.mark.parametrize(
+    "n, pixels", [(1_000_001, 1001), (3 * _BLOCK + 7, 3 * _BLOCK + 7)], ids=["barchart", "stride-1"]
+)
+def test_quantizer_level_evaluations(monkeypatch, n, pixels):
+    # the level formula runs on the grid values of the positions it is given
+    evaluated = []
+    grid_values = channel._grid_values
+
+    def counted(grid, k):
+        evaluated.append(len(k))
+        return grid_values(grid, k)
+
+    monkeypatch.setattr(channel, "_grid_values", counted)
+    Channel.quantizer("q", grid(0.0, 0.01, n), make_quantized_range(0, pixels - 1, 1), pixels)
+    # the first call takes the grid's two ends, to find lo and hi
+    assert evaluated[0] == 2
+    levels = sum(evaluated[1:])
+    # each letter once on a stride of 1, a fifth of the barchart's letters
+    assert levels == n if n < 2 * pixels else levels <= 200_000
 
 
 @pytest.mark.parametrize("n", SIZES)

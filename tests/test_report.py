@@ -115,17 +115,21 @@ class TestEvaluationMemo:
 
 
 class TestMemory:
-    def test_barchart_op_peaks_under_45_mib(self):
-        # what the op keeps of its 1,000,001 letters: the readings pmf, the
-        # plot's rows and image, the reconstruction, and one log temporary
+    def test_barchart_holds_under_16_mib_and_peaks_under_35_mib(self):
+        # what the op keeps of its 1,000,001 letters: the readings pmf and
+        # the plot's image after the load, then the reconstruction and one
+        # log temporary
         text = exemplar("barchart").to_json()
         tracemalloc.start()
         try:
-            analyze(loads_scenario(text)).render("json")
+            scenario = loads_scenario(text)
+            held = tracemalloc.get_traced_memory()[0]
+            analyze(scenario).render("json")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 45 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert held <= 16 * 2**20, f"held {held / 2**20:.1f} MiB after the load"
+        assert peak <= 35 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestJsonFormat:
