@@ -25,7 +25,10 @@ Derived channels (Bayes inversions, compositions) may span alphabets far
 larger than the declared-channel limits; listing only the entries a channel
 can reach is what keeps the exact double summations tractable at that size.
 The pmfs the operations return take their freshly computed vectors as they
-are, marked read-only, without a copy.
+are, marked read-only, without a copy. A marginal is added up by
+`np.add.at` into zeros, in entry order; it copies no input, so a zero-stride
+prior or ``vals`` stays 8 bytes. The Bayes round trip takes its potential
+distortion block by block from the reconstruction it never stores.
 
 Measures:
 
@@ -42,7 +45,18 @@ from typing import Mapping
 
 import numpy as np
 
-from .alphabet import _BLOCK, Alphabet, LetterId, Pmf, _grid_values, entropy, kl_divergence
+from .alphabet import (
+    _BLOCK,
+    MASS_TOLERANCE,
+    Alphabet,
+    LetterId,
+    Pmf,
+    _constant,
+    _divergence,
+    _grid_values,
+    entropy,
+    kl_divergence,
+)
 
 # Declared channels keep exact summation desk-tractable within these bounds.
 MAX_DETERMINISTIC_LETTERS = 2 ** 21
@@ -143,11 +157,7 @@ class Channel:
     def _from_targets(
         cls, id: str, source: Alphabet, target: Alphabet, targets: np.ndarray
     ) -> Channel:
-        n = len(targets)
-        # what np.broadcast_to(1.0, n) gives, without its Python-level set-up
-        ones = np.ndarray((n,), np.float64, np.ones(1), strides=(0,))
-        ones.flags.writeable = False
-        return cls(id, source, target, None, targets, ones)
+        return cls(id, source, target, None, targets, _constant(1.0, len(targets)))
 
     @classmethod
     def _from_map(
@@ -347,6 +357,15 @@ def _joint(pvec: np.ndarray, c: Channel) -> np.ndarray:
     return pvec * c.vals
 
 
+def _marginal(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Read-only sums of ``weights`` by ``index``, added in entry order from
+    0.0, as `np.bincount` adds them but without its copy of the weights."""
+    out = np.zeros(n)
+    np.add.at(out, index, weights)
+    out.flags.writeable = False
+    return out
+
+
 def push_forward(prior: Pmf, c: Channel) -> Pmf:
     """Distribution induced on the target by sending ``prior`` through ``c``.
 
@@ -354,8 +373,7 @@ def push_forward(prior: Pmf, c: Channel) -> Pmf:
     """
     prior.require_valid()
     pvec = prior.aligned_to(c.source.letter_ids)
-    out = np.bincount(c.cols, weights=_joint(pvec, c), minlength=c.target.n_letters)
-    out.flags.writeable = False
+    out = _marginal(c.cols, _joint(pvec, c), c.target.n_letters)
     return Pmf.from_vector(c.target.letter_ids, out)
 
 
@@ -394,7 +412,7 @@ def bayes_inverse(c: Channel, prior: Pmf) -> Channel:
     prior.require_valid()
     pvec = prior.aligned_to(c.source.letter_ids)
     joint = _joint(pvec, c)
-    marginal = np.bincount(c.cols, weights=joint, minlength=c.target.n_letters)
+    marginal = _marginal(c.cols, joint, c.target.n_letters)
     reach = marginal > 0.0
     keep = reach[c.cols]
     reached = c.cols[keep]
@@ -413,48 +431,79 @@ def bayes_inverse(c: Channel, prior: Pmf) -> Channel:
     )
 
 
-def _bayes_round_trip(prior: Pmf, c: Channel) -> tuple[Pmf, Pmf]:
-    """``push_forward(prior, c)`` and ``reconstructed_pmf(prior, c,
-    bayes_inverse(c, prior))`` from one pass over the forward entries,
-    without building the inverse.
+def _bayes_round_trip(prior: Pmf, c: Channel) -> tuple[Pmf, float]:
+    """``push_forward(prior, c)`` and the potential distortion
+    ``kl_divergence(reconstructed_pmf(prior, c, bayes_inverse(c, prior)),
+    prior)`` from one pass over the forward entries, without building the
+    inverse.
 
     The joint masses and their marginal are computed once and serve both
-    results. Only reached targets carry observed mass back, so the inverse's
-    prior rows for unreached targets contribute nothing; their entries here
-    get weight zero, and adding zero leaves each non-negative sum as it was.
-    The terms are added per source in ascending target order, as the
-    inverse's rows add them, so both results are the same float for float.
-    With one entry per source (every deterministic channel) the entries are
-    the sources in order, so the per-source sum drops out. ``+ 0.0`` turns a
-    -0.0 into 0.0 as summing from zero does. The marginal is gathered back
-    one block at a time.
+    results. An entry carries back ``m * (joint / m)``, m its target's
+    marginal, as the inverse's row does. Only reached targets carry observed
+    mass back, so the inverse's prior rows for unreached targets contribute
+    nothing; their entries here get weight zero, and adding zero changes at
+    most the sign of a zero. The entries are added per source in ascending
+    target order, as the inverse's rows add them, so the reconstruction is
+    the same float for float, up to the sign of a zero, which reaches no
+    sum. With one entry per source (every deterministic channel) the
+    entries are the sources in order: each block of the reconstruction is
+    computed, checked and turned into divergence terms in turn, and the
+    reconstruction is never stored. Other channels add it up whole first.
+    The checks are those `kl_divergence` makes of a reconstruction it is
+    given: no negative mass, and a total within `MASS_TOLERANCE` of one.
     """
     prior.require_valid()
     pvec = prior.aligned_to(c.source.letter_ids)
     joint = _joint(pvec, c)
-    marginal = np.bincount(c.cols, weights=joint, minlength=c.target.n_letters)
-    # m * (joint / m) rather than joint: the inverse stores joint / m
-    back = np.zeros(len(joint))
+    marginal = _marginal(c.cols, joint, c.target.n_letters)
     m = np.empty(min(len(joint), _BLOCK))
-    for start in range(0, len(joint), _BLOCK):
-        end = start + _BLOCK
-        cols = c.cols[start:end]
-        # cols index the target, so "clip" clips nothing; it skips the copy "raise" makes
+
+    def carried_back(start: int, out: np.ndarray) -> np.ndarray:
+        # cols index the target, so "clip" clips nothing; it skips the copy
+        # "raise" makes. Where m = 0 the division is skipped, and what out
+        # held, finite, times 0 is 0.
+        cols = c.cols[start : start + len(out)]
         mb = np.take(marginal, cols, out=m[: len(cols)], mode="clip")
-        out = back[start:end]
-        np.divide(joint[start:end], mb, out=out, where=mb > 0.0)
-        np.multiply(out, mb, out=out)
-        np.add(out, 0.0, out=out)
+        np.divide(joint[start : start + len(out)], mb, out, where=mb > 0.0)
+        return np.multiply(out, mb, out)
+
     if len(c.cols) == c.source.n_letters:
-        q = back
+        buffer = np.zeros(len(m))
+
+        def q_block(start: int, end: int) -> np.ndarray:
+            return carried_back(start, buffer[: end - start])
+
     else:
-        q = np.bincount(c.rows, weights=back, minlength=c.source.n_letters)
-    marginal.flags.writeable = False
-    q.flags.writeable = False
-    return (
-        Pmf.from_vector(c.target.letter_ids, marginal),
-        Pmf.from_vector(c.source.letter_ids, q),
-    )
+        back = np.zeros(len(joint))
+        for start in range(0, len(joint), _BLOCK):
+            carried_back(start, back[start : start + _BLOCK])
+        q = _marginal(c.rows, back, c.source.n_letters)
+
+        def q_block(start: int, end: int) -> np.ndarray:
+            return q[start:end]
+
+    out = Pmf.from_vector(c.target.letter_ids, marginal)
+    # checked before the reconstruction: when the pushed pmf is not a pmf,
+    # that is the first fault to report
+    out.require_valid()
+    mass, signed = 0.0, True
+
+    def checked(start: int, end: int) -> np.ndarray:
+        # Pmf.violations' sign and mass checks, block by block; the mass is
+        # summed in the order Pmf.mass sums it
+        nonlocal mass, signed
+        qb = q_block(start, end)
+        signed = signed and bool(np.minimum.reduce(qb) >= 0.0)  # NaN fails too
+        mass += float(np.add.reduce(qb))
+        return qb
+
+    pd = _divergence(checked, pvec, prior._positive)
+    if not (signed and abs(mass - 1.0) <= MASS_TOLERANCE):
+        # gathered whole only to be refused in require_valid's words
+        n = len(pvec)
+        whole = [q_block(s, min(s + _BLOCK, n)).copy() for s in range(0, n, _BLOCK)]
+        Pmf.from_vector(c.source.letter_ids, np.concatenate(whole)).require_valid()
+    return out, pd
 
 
 def reconstructed_pmf(prior: Pmf, forward: Channel, recon: Channel) -> Pmf:

@@ -16,10 +16,11 @@ favor the pipeline (higher direct cost, higher direct distortion, additive
 compression) actually hold before comparing the two ratios.
 
 A stage evaluation computes the output distribution and, for a Bayes
-stage, the reconstructed one from one pass over the forward channel's
-entries. The three public evaluators each start from nothing; `analyze`
-shares one `_Evaluator` across its sections, so each (stage, input
-distribution) pair it meets is evaluated once.
+stage, the potential distortion from one pass over the forward channel's
+entries, without storing the reconstructed distribution. The three public
+evaluators each start from nothing; `analyze` shares one `_Evaluator`
+across its sections, so each (stage, input distribution) pair it meets is
+evaluated once.
 
 Scoring of whether a representation qualifies as an abstraction follows a
 two-condition scheme: condition A (is it a representation produced by a
@@ -247,13 +248,12 @@ def _ratio(benefit: float, cost: float) -> float:
 def _evaluate(stage: Stage, prior: Pmf) -> tuple[StageMetrics, Pmf]:
     h_in = entropy(prior)
     if isinstance(stage.recon, str):
-        out, back = _bayes_round_trip(prior, stage.forward)
+        out, pd = _bayes_round_trip(prior, stage.forward)
     else:
         out = push_forward(prior, stage.forward)
-        back = push_forward(out, stage.recon)
+        pd = kl_divergence(push_forward(out, stage.recon), prior)
     h_out = entropy(out)
     ac = h_in - h_out
-    pd = kl_divergence(back, prior)
     benefit = ac - pd
     metrics = StageMetrics(
         stage_id=stage.id,

@@ -305,7 +305,7 @@ class TestCachingAndCopies:
         b = Alphabet("b", ("b0", "b1"))
         f = Channel.deterministic("f", a, b, {"a0": "b0", "a1": "b0", "a2": "b1", "a3": "b1"})
         made = [a.pmf, b.pmf, make_quantized_range(0, 4, 1).pmf, push_forward(a.pmf, f)]
-        made += _bayes_round_trip(a.pmf, f)
+        made.append(_bayes_round_trip(a.pmf, f)[0])
         for pmf in made:
             assert not pmf.vec.flags.writeable
 

@@ -1,17 +1,29 @@
 """Blocked and strided kernels against whole-vector references, bit for bit.
 
-Grid values, the one-entry-per-source Bayes round trip and the KL divergence
-work through long vectors one block at a time; a quantizer image is filled
-stride by stride from the levels at the stride ends. Each is compared here
-with the whole-vector computation it replaces, at lengths around the block
-boundary and at the barchart's 1,000,001 letters, with `np.array_equal` and
-equal sign bits.
+Grid values, the one-entry-per-source Bayes round trip, entropy and the KL
+divergence work through long vectors one block at a time; a quantizer image
+is filled stride by stride from the levels at the stride ends. Each is
+compared here with a whole-vector statement of what it computes, at lengths
+around the block boundary and at the barchart's 1,000,001 letters, with
+`np.array_equal` and equal sign bits. A sum's reference is the documented
+order itself: every term first, then `np.add.reduce` over each `_BLOCK`
+slice, the slice sums added in order from 0.0.
 """
 
 import numpy as np
 import pytest
 
-from absmeter import Channel, Pmf, channel, kl_divergence, make_quantized_range
+import oracles
+from absmeter import (
+    Alphabet,
+    Channel,
+    Pmf,
+    channel,
+    entropy,
+    kl_divergence,
+    make_quantized_range,
+    push_forward,
+)
 from absmeter.alphabet import _BLOCK
 from absmeter.channel import _bayes_round_trip
 
@@ -103,6 +115,27 @@ def test_the_finest_grid_rounds_to_one_value(n):
     assert np.ptp(grid(0.0, 1e-12, n).values) == 0.0
 
 
+def reference_sum(terms):
+    total = 0.0
+    for start in range(0, len(terms), _BLOCK):
+        total += float(np.add.reduce(terms[start : start + _BLOCK]))
+    return total
+
+
+def reference_entropy(v):
+    terms = np.zeros(len(v))
+    keep = v > 0.0
+    terms[keep] = v[keep] * np.log2(v[keep])
+    return -reference_sum(terms) + 0.0
+
+
+def reference_kl(qv, pv):
+    terms = np.zeros(len(qv))
+    keep = qv > 0.0
+    terms[keep] = qv[keep] * (np.log2(qv[keep]) - np.log2(pv[keep]))
+    return reference_sum(terms)
+
+
 def reference_round_trip(pvec, c):
     joint = pvec * np.ascontiguousarray(c.vals)
     marginal = np.bincount(c.cols, weights=joint, minlength=c.target.n_letters)
@@ -111,26 +144,29 @@ def reference_round_trip(pvec, c):
     return marginal, back * m + 0.0
 
 
-@pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("vals", ["ones-view", "near-one"])
-def test_one_entry_per_source_round_trip(n, vals):
+def quantizer_onto_1001(n, vals="ones-view"):
     source = make_quantized_range(0, n - 1, 1)
     target = make_quantized_range(0, 1000, 1)
     c = Channel.quantizer("q", source, target, 1001)
     if vals == "near-one":
         c = Channel("q", source, target, c.rows, c.cols, np.full(n, 1.0 - 2.0**-52))
-    pvec = prior_with_zeros(n, seed=n)
-    assert np.signbit(pvec[pvec == 0.0]).any()
-    prior = Pmf.from_vector(source.letter_ids, pvec)
-    out, back = _bayes_round_trip(prior, c)
-    marginal, q = reference_round_trip(pvec, c)
-    assert same_bits(out.vec, marginal)
-    assert same_bits(back.vec, q)
+    return c
 
 
 @pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("support", ["full", "partial"])
-def test_kl_divergence(n, support):
+@pytest.mark.parametrize("vals", ["ones-view", "near-one"])
+def test_one_entry_per_source_round_trip(n, vals):
+    c = quantizer_onto_1001(n, vals)
+    pvec = prior_with_zeros(n, seed=n)
+    assert np.signbit(pvec[pvec == 0.0]).any()
+    prior = Pmf.from_vector(c.source.letter_ids, pvec)
+    out, pd = _bayes_round_trip(prior, c)
+    marginal, q = reference_round_trip(pvec, c)
+    assert same_bits(out.vec, marginal)
+    assert same_bits(pd, kl_divergence(Pmf.from_vector(c.source.letter_ids, q), prior))
+
+
+def pmf_pair(n, support):
     rng = np.random.default_rng(n)
     qv = rng.random(n) + (0.5 if support == "full" else 0.0)
     if support == "partial":
@@ -139,9 +175,44 @@ def test_kl_divergence(n, support):
     qv /= qv.sum()
     pv = rng.random(n) + 1e-3
     pv /= pv.sum()
+    return qv, pv
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("support", ["full", "partial"])
+def test_kl_divergence(n, support):
+    qv, pv = pmf_pair(n, support)
     ids = range(n)
     d = kl_divergence(Pmf.from_vector(ids, qv), Pmf.from_vector(ids, pv))
-    keep = qv > 0.0
-    expected = np.dot(qv[keep], np.log2(qv[keep]) - np.log2(pv[keep]))
-    assert same_bits(d, expected)
+    assert same_bits(d, reference_kl(qv, pv))
 
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("support", ["full", "partial"])
+def test_entropy(n, support):
+    qv, _ = pmf_pair(n, support)
+    assert same_bits(entropy(Pmf.from_vector(range(n), qv)), reference_entropy(qv))
+
+
+@pytest.mark.parametrize("n", [n for n in SIZES if n <= 3 * _BLOCK + 7])
+@pytest.mark.parametrize("support", ["full", "partial"])
+def test_sums_agree_with_the_oracles(n, support):
+    qv, pv = pmf_pair(n, support)
+    q, p = dict(enumerate(qv.tolist())), dict(enumerate(pv.tolist()))
+    ids = range(n)
+    qpmf, ppmf = Pmf.from_vector(ids, qv), Pmf.from_vector(ids, pv)
+    assert abs(entropy(qpmf) - oracles.entropy_bits(q)) <= 1e-12
+    assert abs(kl_divergence(qpmf, ppmf) - oracles.kl_bits(q, p)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_uniform_pmf_is_one_value(n):
+    uniform = Alphabet("x", range(n)).pmf
+    assert uniform.vec.strides == (0,) and not uniform.vec.flags.writeable
+    dense = Pmf.from_vector(uniform.ids, np.full(n, 1 / n))
+    assert same_bits(entropy(uniform), entropy(dense))
+    c = quantizer_onto_1001(n)
+    assert same_bits(push_forward(uniform, c).vec, push_forward(dense, c).vec)
+    (out, pd), (dense_out, dense_pd) = _bayes_round_trip(uniform, c), _bayes_round_trip(dense, c)
+    assert same_bits(out.vec, dense_out.vec)
+    assert same_bits(pd, dense_pd)

@@ -396,6 +396,10 @@ class TestBayesInverse:
             compose(to_one, spread)
 
 
+def reference_distortion(prior, c):
+    return kl_divergence(reconstructed_pmf(prior, c, bayes_inverse(c, prior)), prior)
+
+
 class TestReconstruction:
     def test_bayes_round_trip_restores_prior(self):
         rng = np.random.default_rng(23)
@@ -424,9 +428,8 @@ class TestReconstruction:
             else:
                 ch, _ = builders.random_channel(rng, src, dst)
             prior, _ = builders.random_prior(rng, src, allow_zeros=trial % 2 == 0)
-            pushed, reconstructed = _bayes_round_trip(prior, ch)
-            expected = reconstructed_pmf(prior, ch, bayes_inverse(ch, prior))
-            assert np.array_equal(reconstructed.vec, expected.vec), trial
+            pushed, pd = _bayes_round_trip(prior, ch)
+            assert pd == reference_distortion(prior, ch), trial
             assert np.array_equal(pushed.vec, push_forward(prior, ch).vec), trial
 
     @pytest.mark.parametrize("kind", ["quantizer", "map", "near-one"])
@@ -451,14 +454,39 @@ class TestReconstruction:
             vec = builders.random_weights(rng, n)
             vec[(vec == 0.0) & (np.arange(n) % 2 == 0)] = -0.0
             prior = Pmf.from_vector(src.letter_ids, vec)
-            pushed, reconstructed = _bayes_round_trip(prior, ch)
-            expected = reconstructed_pmf(prior, ch, bayes_inverse(ch, prior))
-            for got, want in (
-                (pushed.vec, push_forward(prior, ch).vec),
-                (reconstructed.vec, expected.vec),
-            ):
-                assert np.array_equal(got, want), trial
-                assert np.array_equal(np.signbit(got), np.signbit(want)), trial
+            pushed, pd = _bayes_round_trip(prior, ch)
+            want = push_forward(prior, ch).vec
+            assert np.array_equal(pushed.vec, want), trial
+            assert np.array_equal(np.signbit(pushed.vec), np.signbit(want)), trial
+            assert pd == reference_distortion(prior, ch), trial
+
+    @pytest.mark.parametrize(
+        "n_src, rows, cols, vals, scale",
+        [
+            # pushed [2/3, 1/3] is a pmf, the reconstruction has -1/6 at s0
+            (3, None, [0, 0, 1], [-0.5, 2.5, 1.0], 1.0),
+            # pushed [1/4, 3/4] is a pmf, the reconstruction has -1/4 at s0
+            (2, [0, 1, 1], [0, 0, 1], [-0.5, 1.0, 1.5], 1.0),
+            # prior and rows 8e-10 heavy: the pushed mass is off, reported first
+            (4, None, [0, 0, 1, 1], [1.0 + 8e-10] * 4, 1.0 + 8e-10),
+            # pushed [1, -1/4] is refused, though the reconstruction [1, 0] is a pmf
+            (2, None, [0, 1], [2.0, -0.5], 1.0),
+        ],
+        ids=["map-negative", "stochastic-negative", "pushed-mass", "pushed-negative"],
+    )
+    def test_round_trip_checks_what_it_carries_back(self, n_src, rows, cols, vals, scale):
+        # channels built around the declared-row checks; the round trip
+        # refuses them in the words of the reference computation
+        src, dst = uniform(n_src, "s"), uniform(2, "d")
+        rows = None if rows is None else np.array(rows)
+        ch = Channel("c", src, dst, rows, np.array(cols), np.array(vals))
+        prior = Pmf.from_vector(src.letter_ids, np.full(n_src, scale / n_src))
+        with pytest.raises(ValueError) as expected:
+            reference_distortion(prior, ch)
+        with pytest.raises(ValueError) as got:
+            _bayes_round_trip(prior, ch)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith("invalid pmf: ")
 
     def test_fixed_guess_degenerates(self):
         # four letters so the uniform prior's quarters sum to exactly 1.0

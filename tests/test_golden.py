@@ -6,11 +6,16 @@ the benchmark's seed-1 stochastic scenario (`perfbench/workloads.py`) pins
 the stochastic loader at the 4096-letter limit. The expected bytes live in
 `tests/golden/`. To rewrite them after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+
+The bytes may not depend on the machine's threads: `python -m absmeter
+analyze` reproduces the goldens under every OpenBLAS thread count tried.
 """
 
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,17 +38,20 @@ AXIS_RUNS = {
 }
 
 
-def _generated(seed: int):
-    if str(PERFBENCH) not in sys.path:
-        sys.path.append(str(PERFBENCH))
-    from workloads import stochastic_declaration
+def _declaration(name: str) -> str:
+    """JSON text of an exemplar or of a generated scenario."""
+    if name in GENERATED:
+        if str(PERFBENCH) not in sys.path:
+            sys.path.append(str(PERFBENCH))
+        from workloads import stochastic_declaration
 
-    return loads_scenario(json.dumps(stochastic_declaration(seed)))
+        return json.dumps(stochastic_declaration(GENERATED[name]))
+    return exemplar(name).to_json()
 
 
 def _load(name: str):
     if name in GENERATED:
-        return _generated(GENERATED[name])
+        return loads_scenario(_declaration(name))
     path = FIXTURES / f"{name}.json"
     return load_scenario(path) if path.exists() else exemplar(name)
 
@@ -69,6 +77,23 @@ def _expected(filename: str) -> str:
 def test_analyze_output_is_pinned(name):
     for filename, text in rendered(name).items():
         assert text == _expected(filename), filename
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "4"])
+@pytest.mark.parametrize("name", ["barchart", "stochastic-4096-seed1"])
+def test_cli_output_does_not_follow_the_blas_thread_count(name, threads, tmp_path):
+    # the thread count is read when numpy loads, so it is set in the child only
+    scenario = tmp_path / f"{name}.json"
+    scenario.write_text(_declaration(name), encoding="utf-8")
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "absmeter", "analyze", str(scenario), "--format", "json"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == _expected(f"{name}.json")
 
 
 @pytest.mark.parametrize("run", sorted(AXIS_RUNS))
