@@ -27,7 +27,9 @@ order that the program fixes, whatever the machine's threads: the terms in
 consecutive blocks of `_BLOCK`, numpy's pairwise `np.add.reduce` within a
 block, and the block sums added left to right from 0.0 (`_ordered_sum`).
 The terms are computed one block at a time into one reused buffer, so no
-letter-length temporary is made, and no BLAS call is made.
+letter-length temporary is made, and no BLAS call is made. A zero-stride
+pmf has one term, so its mass and its entropy are one block sum, taken once
+and added up once per block (`_constant_sum`).
 """
 
 from __future__ import annotations
@@ -69,9 +71,22 @@ def _ordered_sum(n: int, block: Callable[[int, int], np.ndarray]) -> float:
     and the run sums are added left to right from 0.0. The result follows
     from the terms alone, not from threads or BLAS.
     """
+    if n <= _BLOCK:
+        # one block: the loop's set-up costs more than the sum of a few terms
+        return 0.0 + float(np.add.reduce(block(0, n)))
     total = 0.0
     for start in range(0, n, _BLOCK):
         total += float(np.add.reduce(block(start, min(start + _BLOCK, n))))
+    return total
+
+
+def _constant_sum(term: np.ndarray, n: int) -> float:
+    """`_ordered_sum` of ``n`` copies of the one-entry array ``term``; the
+    sum of a full block is taken once."""
+    run = np.ndarray((min(n, _BLOCK),), np.float64, term, 0, (0,))
+    block, total = float(np.add.reduce(run)), 0.0
+    for start in range(0, n, _BLOCK):
+        total += block if n - start >= len(run) else float(np.add.reduce(run[: n - start]))
     return total
 
 
@@ -188,6 +203,8 @@ class Pmf:
 
     def mass(self) -> float:
         vec = self._vec
+        if vec.strides == (0,):
+            return _constant_sum(vec[:1], len(vec))
         return _ordered_sum(len(vec), lambda start, end: vec[start:end])
 
     def violations(self) -> list[str]:
@@ -203,7 +220,7 @@ class Pmf:
         # ranges cannot repeat; only explicit id collections need the check
         if not isinstance(self._ids, range) and len(self._ensure_index()) != len(self._ids):
             problems.append("duplicate letter ids in pmf")
-        low = np.minimum.reduce(self._vec)
+        low = np.minimum.reduce(self._vec[:1] if self._vec.strides == (0,) else self._vec)
         # a NaN minimum also lands here; the mass check below reports it
         if not low >= 0.0:
             neg = np.flatnonzero(self._vec < 0.0)
@@ -372,13 +389,16 @@ def entropy(a: Alphabet | Pmf) -> float:
     pmf.require_valid()
     if pmf._entropy is None:
         v = pmf.vec
-        terms = np.empty(min(len(v), _BLOCK))
+        n = len(v)
+        terms = np.empty(min(n, _BLOCK))
 
         def block(start: int, end: int) -> np.ndarray:
             return _log_terms(v[start:end], terms[: end - start], pmf._positive)
 
+        # a zero-stride pmf is one value, so it has one term
+        total = _constant_sum(block(0, 1), n) if v.strides == (0,) else _ordered_sum(n, block)
         # a one-letter pmf gives -1*log2(1) = -0.0; normalize the sign
-        pmf._entropy = -_ordered_sum(len(v), block) + 0.0
+        pmf._entropy = -total + 0.0
     return pmf._entropy
 
 

@@ -27,8 +27,10 @@ can reach is what keeps the exact double summations tractable at that size.
 The pmfs the operations return take their freshly computed vectors as they
 are, marked read-only, without a copy. A marginal is added up by
 `np.add.at` into zeros, in entry order; it copies no input, so a zero-stride
-prior or ``vals`` stays 8 bytes. The Bayes round trip takes its potential
-distortion block by block from the reconstruction it never stores.
+prior or ``vals`` stays 8 bytes; over a constant joint (a uniform prior
+through a deterministic channel) it and the Bayes round trip work per
+target, with the same bits. The round trip takes its potential distortion
+block by block from the reconstruction it never stores.
 
 Measures:
 
@@ -53,6 +55,8 @@ from .alphabet import (
     Pmf,
     _constant,
     _divergence,
+    _log_terms,
+    _ordered_sum,
     _grid_values,
     entropy,
     kl_divergence,
@@ -359,11 +363,28 @@ def _joint(pvec: np.ndarray, c: Channel) -> np.ndarray:
 
 def _marginal(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     """Read-only sums of ``weights`` by ``index``, added in entry order from
-    0.0, as `np.bincount` adds them but without its copy of the weights."""
+    0.0, as `np.bincount` adds them but without its copy of the weights,
+    or by count (`_tally`) when they are one zero-stride value."""
+    if weights.strides == (0,):
+        return _tally(index, weights[0], n)[2]
     out = np.zeros(n)
     np.add.at(out, index, weights)
     out.flags.writeable = False
     return out
+
+
+def _tally(index: np.ndarray, w: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries per index, the sums 0, w, w + w, ... up to the most entries,
+    added left to right as `np.add.at` adds into zeros, and the read-only
+    sums of ``w`` by ``index`` they give."""
+    counts = np.bincount(index, None, n)
+    sums = np.empty(counts.max() + 1)
+    sums.fill(w)
+    sums[0] = 0.0
+    sums = np.add.accumulate(sums)
+    out = sums.take(counts)
+    out.flags.writeable = False
+    return counts, sums, out
 
 
 def push_forward(prior: Pmf, c: Channel) -> Pmf:
@@ -448,14 +469,21 @@ def _bayes_round_trip(prior: Pmf, c: Channel) -> tuple[Pmf, float]:
     sum. With one entry per source (every deterministic channel) the
     entries are the sources in order: each block of the reconstruction is
     computed, checked and turned into divergence terms in turn, and the
-    reconstruction is never stored. Other channels add it up whole first.
-    The checks are those `kl_divergence` makes of a reconstruction it is
-    given: no negative mass, and a total within `MASS_TOLERANCE` of one.
+    reconstruction is never stored; with one joint mass for every entry
+    too, an entry's carried-back mass and term follow from its target's
+    entry count. Other channels add it up whole first. The checks are those
+    `kl_divergence` makes of a reconstruction it is given: no negative
+    mass, and a total within `MASS_TOLERANCE` of one.
     """
     prior.require_valid()
     pvec = prior.aligned_to(c.source.letter_ids)
     joint = _joint(pvec, c)
-    marginal = _marginal(c.cols, joint, c.target.n_letters)
+    n = len(pvec)
+    constant = len(c.cols) == n and joint.strides == (0,)
+    if constant:
+        counts, sums, marginal = _tally(c.cols, joint[0], c.target.n_letters)
+    else:
+        marginal = _marginal(c.cols, joint, c.target.n_letters)
     m = np.empty(min(len(joint), _BLOCK))
 
     def carried_back(start: int, out: np.ndarray) -> np.ndarray:
@@ -463,12 +491,29 @@ def _bayes_round_trip(prior: Pmf, c: Channel) -> tuple[Pmf, float]:
         # "raise" makes. Where m = 0 the division is skipped, and what out
         # held, finite, times 0 is 0.
         cols = c.cols[start : start + len(out)]
-        mb = np.take(marginal, cols, out=m[: len(cols)], mode="clip")
+        mb = marginal.take(cols, None, m[: len(cols)], "clip")
         np.divide(joint[start : start + len(out)], mb, out, where=mb > 0.0)
         return np.multiply(out, mb, out)
 
-    if len(c.cols) == c.source.n_letters:
-        buffer = np.zeros(len(m))
+    buffer = np.zeros(len(m))
+    if constant:
+        # an entry of a target with j entries carries back g = (w / m) * m,
+        # m = sums[j], with the term g (log2 g - log2 w): computed once per
+        # count by the ufuncs of carried_back and `_divergence`
+        g = np.zeros(len(sums))
+        np.divide(joint[:1], sums, g, where=sums > 0.0)
+        np.multiply(g, sums, g)
+        t = _log_terms(g, np.empty(len(g)), False, np.log2(joint[:1])).take(counts)
+        g = g.take(counts)
+
+        def q_block(start: int, end: int) -> np.ndarray:
+            return g.take(c.cols[start:end], None, buffer[: end - start], "clip")
+
+        def terms(start: int, end: int) -> np.ndarray:
+            checked(start, end)
+            return t.take(c.cols[start:end], None, m[: end - start], "clip")
+
+    elif len(c.cols) == n:
 
         def q_block(start: int, end: int) -> np.ndarray:
             return carried_back(start, buffer[: end - start])
@@ -477,7 +522,7 @@ def _bayes_round_trip(prior: Pmf, c: Channel) -> tuple[Pmf, float]:
         back = np.zeros(len(joint))
         for start in range(0, len(joint), _BLOCK):
             carried_back(start, back[start : start + _BLOCK])
-        q = _marginal(c.rows, back, c.source.n_letters)
+        q = _marginal(c.rows, back, n)
 
         def q_block(start: int, end: int) -> np.ndarray:
             return q[start:end]
@@ -497,10 +542,9 @@ def _bayes_round_trip(prior: Pmf, c: Channel) -> tuple[Pmf, float]:
         mass += float(np.add.reduce(qb))
         return qb
 
-    pd = _divergence(checked, pvec, prior._positive)
+    pd = _ordered_sum(n, terms) if constant else _divergence(checked, pvec, prior._positive)
     if not (signed and abs(mass - 1.0) <= MASS_TOLERANCE):
         # gathered whole only to be refused in require_valid's words
-        n = len(pvec)
         whole = [q_block(s, min(s + _BLOCK, n)).copy() for s in range(0, n, _BLOCK)]
         Pmf.from_vector(c.source.letter_ids, np.concatenate(whole)).require_valid()
     return out, pd

@@ -10,6 +10,8 @@ order itself: every term first, then `np.add.reduce` over each `_BLOCK`
 slice, the slice sums added in order from 0.0.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -18,14 +20,15 @@ from absmeter import (
     Alphabet,
     Channel,
     Pmf,
+    bayes_inverse,
     channel,
     entropy,
     kl_divergence,
     make_quantized_range,
     push_forward,
 )
-from absmeter.alphabet import _BLOCK
-from absmeter.channel import _bayes_round_trip
+from absmeter.alphabet import _BLOCK, _constant
+from absmeter.channel import _bayes_round_trip, _marginal
 
 SIZES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7, 1_000_001]
 
@@ -205,14 +208,111 @@ def test_sums_agree_with_the_oracles(n, support):
     assert abs(kl_divergence(qpmf, ppmf) - oracles.kl_bits(q, p)) <= 1e-12
 
 
-@pytest.mark.parametrize("n", SIZES)
+# the per-target Bayes round trip takes log2 of one value once, where the
+# per-letter path takes it of every letter of a block: it assumes that the
+# bits of np.log2(x) do not depend on where x sits
+LOG_LENGTHS = [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 1001, _BLOCK]
+LOG_VALUES = [1.0, 0.5, 1 / 3, 1 / 1_000_001, 1 / 101, 1 - 2.0**-52, 1e-300, 5e-324, 0.7]
+
+
+@pytest.mark.parametrize("length", LOG_LENGTHS)
+def test_log2_of_a_value_does_not_depend_on_its_position(length):
+    rng = np.random.default_rng(length)
+    values = np.concatenate([LOG_VALUES, rng.random(32)])
+    alone = [np.log2(np.array([x]))[0] for x in values]
+    for x, bits in zip(values, alone):
+        assert same_bits(np.log2(_constant(x, length)), np.full(length, bits))
+        block = rng.random(length)
+        for at in {0, 1 % length, length // 2, length - 1}:
+            block[at] = x
+            assert same_bits(np.log2(block)[at], bits)
+            out = np.zeros(length)
+            np.log2(block, out, where=block > 0.5 * x)
+            assert same_bits(out[at], bits)
+
+
+def one_entry_per_source(n, kind):
+    """Deterministic channels from n letters: quantizers, and maps that leave
+    targets unreached and reach the others in shuffled order."""
+    source = make_quantized_range(0, n - 1, 1)
+    if kind.startswith("quantizer-"):
+        pixels = int(kind.split("-")[1])
+        return Channel.quantizer("q", source, make_quantized_range(0, pixels - 1, 1), pixels)
+    rng = np.random.default_rng(n)
+    k = {"map-sparse": n // 2 + 5, "map-dense": 17}[kind]
+    reached = rng.choice(k, size=min(k, max(1, n // 3)), replace=False)
+    image = reached[rng.integers(0, len(reached), size=n)]
+    target = make_quantized_range(0, k - 1, 1)
+    return Channel._from_map("m", source, target, np.arange(n), image)
+
+
+KINDS = ["quantizer-1", "quantizer-3", "quantizer-1001", "quantizer-40000", "map-sparse", "map-dense"]
+
+
+@pytest.mark.parametrize("n", [101] + SIZES)
 def test_uniform_pmf_is_one_value(n):
     uniform = Alphabet("x", range(n)).pmf
     assert uniform.vec.strides == (0,) and not uniform.vec.flags.writeable
     dense = Pmf.from_vector(uniform.ids, np.full(n, 1 / n))
     assert same_bits(entropy(uniform), entropy(dense))
-    c = quantizer_onto_1001(n)
-    assert same_bits(push_forward(uniform, c).vec, push_forward(dense, c).vec)
-    (out, pd), (dense_out, dense_pd) = _bayes_round_trip(uniform, c), _bayes_round_trip(dense, c)
-    assert same_bits(out.vec, dense_out.vec)
-    assert same_bits(pd, dense_pd)
+    assert same_bits(uniform.mass(), dense.mass())
+    for kind in KINDS:
+        c = one_entry_per_source(n, kind)
+        assert same_bits(push_forward(uniform, c).vec, push_forward(dense, c).vec)
+        (out, pd), (dense_out, dense_pd) = _bayes_round_trip(uniform, c), _bayes_round_trip(dense, c)
+        assert same_bits(out.vec, dense_out.vec)
+        assert same_bits(pd, dense_pd)
+        # an unreached target gets the prior as its inverse row: keep those few
+        unreached = c.target.n_letters - np.count_nonzero(out.vec)
+        assert unreached > 0 or kind != "map-sparse"
+        if n <= 3 * _BLOCK + 7 and unreached * n <= 2**16:
+            inverse, dense_inverse = bayes_inverse(c, uniform), bayes_inverse(c, dense)
+            for got, want in zip(
+                (inverse.rows, inverse.cols, inverse.vals),
+                (dense_inverse.rows, dense_inverse.cols, dense_inverse.vals),
+            ):
+                assert same_bits(got, want)
+
+
+def nonzero_term_counts(n, most):
+    """Entry counts j <= most for which an entry of the uniform prior 1/n,
+    carried back through a target with j entries, gets a term other than 0.0."""
+    w = 1 / n
+    sums = np.add.accumulate(np.concatenate([[0.0], np.full(most, w)]))[1:]
+    g = (w / sums) * sums
+    return np.flatnonzero(g * (np.log2(g) - np.log2(np.array([w]))) != 0.0) + 1
+
+
+@pytest.mark.parametrize("start", [1000, _BLOCK + 1, 3 * _BLOCK])
+def test_uniform_round_trip_adds_its_terms_in_entry_order(start):
+    # Through a deterministic channel a uniform prior comes back almost
+    # exactly: most terms are 0.0, and the rest are tiny, from a target whose
+    # entry count leaves (w / m) * m one unit off w. Targets whose counts mix
+    # such counts with others, their entries shuffled, make the distortion's
+    # bits follow the order in which its terms are added.
+    n, hits = next((n, j) for n in range(start, start + 500) if len(j := nonzero_term_counts(n, 64)))
+    uniform = Alphabet("x", range(n)).pmf
+    dense = Pmf.from_vector(uniform.ids, np.full(n, 1 / n))
+    for pattern in (list(hits[:3]) + [1], [hits[0], hits[0] - 1]):
+        counts = np.resize(pattern, 2 * n)
+        counts = counts[: np.searchsorted(np.cumsum(counts), n) + 1]
+        counts[-1] -= counts.sum() - n
+        image = np.random.default_rng(n).permutation(np.repeat(np.arange(len(counts)), counts))
+        target = make_quantized_range(0, len(counts) - 1, 1)
+        c = Channel._from_map("m", make_quantized_range(0, n - 1, 1), target, np.arange(n), image)
+        (out, pd), (dense_out, dense_pd) = _bayes_round_trip(uniform, c), _bayes_round_trip(dense, c)
+        assert pd != 0.0
+        assert same_bits(out.vec, dense_out.vec)
+        assert same_bits(pd, dense_pd)
+
+
+@pytest.mark.parametrize("w", [1 / 3, 0.1, 1 / 1_000_001, 5e-324, 1e300, -0.0, -0.25, math.nan])
+def test_equal_weights_add_up_as_add_at_adds(w):
+    # counts of 0 to 5,000 entries per index, in shuffled entry order
+    rng = np.random.default_rng(7)
+    index = rng.permutation(np.repeat(np.arange(100), rng.integers(0, 5000, size=100)))
+    expected = np.zeros(103)
+    np.add.at(expected, index, np.full(len(index), w))
+    got = _marginal(index, _constant(w, len(index)), 103)
+    assert same_bits(got, expected) or (np.isnan(w) and np.array_equal(got, expected, equal_nan=True))
+    assert not got.flags.writeable
