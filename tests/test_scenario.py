@@ -455,6 +455,861 @@ class TestDuplicateLetterKeys:
         assert [channel.image_of(i) for i in range(3)] == ["0", "0", "1"]
 
 
+def full() -> dict:
+    """One valid declaration that uses every section and every optional key."""
+    return {
+        "meta": {
+            "id": "every-element",
+            "title": "All sections",
+            "point_of_view": {"action": "search", "target": "data"},
+        },
+        "alphabets": [
+            {"id": "a8", "uniform_count": 8},
+            {
+                "id": "a4",
+                "letters": [{"id": "w", "probability": 0.25, "label": "west"}]
+                + [{"id": x, "probability": 0.25} for x in "xyz"],
+            },
+            {"id": "a2", "uniform_range": {"min": 0, "max": 1, "step": 1}},
+            {"id": "g", "uniform_range": {"min": 0, "max": 7, "step": 1}},
+        ],
+        "channels": [
+            {
+                "id": "first",
+                "from": "a8",
+                "to": "a4",
+                "deterministic": {"map": {str(i): "wxyz"[i // 2] for i in range(8)}},
+            },
+            {
+                "id": "second",
+                "from": "a4",
+                "to": "a2",
+                "stochastic": {
+                    "rows": {
+                        "w": {"0": 1.0},
+                        "x": {"0": 0.5, "1": 0.5},
+                        "y": {"1": 1.0},
+                        "z": {"1": 1.0},
+                    }
+                },
+            },
+            {
+                "id": "leap",
+                "from": "a8",
+                "to": "a2",
+                "deterministic": {"map": {str(i): str(i // 4) for i in range(8)}},
+            },
+            {
+                "id": "plot",
+                "from": "g",
+                "to": "a2",
+                "deterministic": {"quantizer": {"pixels": 2}},
+            },
+        ],
+        "stages": [
+            {"id": "s1", "forward": "first", "cost": 1.0},
+            {"id": "s2", "forward": "second", "cost": 1.0, "recon": "bayes"},
+            {"id": "leap-stage", "forward": "leap", "cost": 5.0},
+        ],
+        "pipelines": [
+            {"id": "p", "stages": ["s1", "s2"], "prior": {str(i): 0.125 for i in range(8)}}
+        ],
+        "direct_routes": [{"id": "r", "stage": "leap-stage", "pipeline": "p"}],
+        "judgments": [
+            {
+                "id": "j",
+                "condition_a": True,
+                "condition_b": "satisfied",
+                "score": 3,
+                "point_of_view": {
+                    "action": "search",
+                    "target": "data",
+                    "refinement": "known reading",
+                },
+            }
+        ],
+        "axes": [
+            {
+                "id": "detail",
+                "purpose": "zoom",
+                "nodes": [
+                    {"id": "fine", "kind": "visual", "information": 2.0, "attributes": ["marks"]},
+                    {"id": "coarse", "kind": "data", "alphabet": "a2", "attributes": ["marks"]},
+                ],
+            }
+        ],
+    }
+
+
+DROP = object()
+
+
+def edit(*keys, to=DROP, data=None) -> dict:
+    """``data`` (by default `full()`) with the element at ``keys`` set to
+    ``to``, or deleted when ``to`` is omitted."""
+    data = full() if data is None else data
+    *parents, last = keys
+    obj = data
+    for key in parents:
+        obj = obj[key]
+    if to is DROP:
+        del obj[last]
+    else:
+        obj[last] = to
+    return data
+
+
+# One row per check in the loader: the declaration, the exact JSON path and
+# the exact message. Checks that another test already pins exactly (unknown
+# top-level key, unknown channel endpoints, duplicate letter keys, the
+# stochastic entry budget) have no row here.
+ERRORS = {
+    "root-not-object": (
+        [1, 2, 3],
+        "$",
+        "expected an object, got list",
+    ),
+    "section-not-list": (
+        edit("alphabets", to={}),
+        "alphabets",
+        "expected a list, got dict",
+    ),
+    "duplicate-id": (
+        edit("stages", 2, "id", to="s1"),
+        "stages[2].id",
+        "duplicate stage id 's1'",
+    ),
+    "meta-not-object": (
+        edit("meta", to="m"),
+        "meta",
+        "expected an object, got str",
+    ),
+    "meta-unknown-key": (
+        edit("meta", "author", to="x"),
+        "meta.author",
+        "unknown key",
+    ),
+    "meta-id": (
+        edit("meta", "id", to=7),
+        "meta.id",
+        "expected a non-empty string, got 7",
+    ),
+    "meta-title": (
+        edit("meta", "title", to=""),
+        "meta.title",
+        "expected a non-empty string, got ''",
+    ),
+    "meta-point-of-view": (
+        edit("meta", "point_of_view", "action", to="ponder"),
+        "meta.point_of_view.action",
+        "unknown action 'ponder' (expected one of analyze, search, query)",
+    ),
+    "alphabet-not-object": (
+        edit("alphabets", 0, to=8),
+        "alphabets[0]",
+        "expected an object, got int",
+    ),
+    "alphabet-missing-id": (
+        edit("alphabets", 0, "id"),
+        "alphabets[0]",
+        "missing required key 'id'",
+    ),
+    "alphabet-unknown-key": (
+        edit("alphabets", 0, "size", to=8),
+        "alphabets[0].size",
+        "unknown key",
+    ),
+    "alphabet-id": (
+        edit("alphabets", 0, "id", to=None),
+        "alphabets[0].id",
+        "expected a non-empty string, got None",
+    ),
+    "alphabet-no-mode": (
+        edit("alphabets", 0, "uniform_count"),
+        "alphabets[0]",
+        "needs exactly one of 'letters', 'uniform_count', 'uniform_range'",
+    ),
+    "alphabet-two-modes": (
+        edit("alphabets", 0, "uniform_range", to={"min": 0, "max": 1, "step": 1}),
+        "alphabets[0]",
+        "needs exactly one of 'letters', 'uniform_count', 'uniform_range'",
+    ),
+    "uniform-count-type": (
+        edit("alphabets", 0, "uniform_count", to=1.5),
+        "alphabets[0].uniform_count",
+        "expected an integer, got 1.5",
+    ),
+    "uniform-count-zero": (
+        edit("alphabets", 0, "uniform_count", to=0),
+        "alphabets[0].uniform_count",
+        "must be >= 1, got 0",
+    ),
+    "uniform-count-over": (
+        edit("alphabets", 0, "uniform_count", to=2**24),
+        "alphabets[0].uniform_count",
+        "16777216 letters is more than the 2097152 any channel accepts",
+    ),
+    "uniform-range-not-object": (
+        edit("alphabets", 2, "uniform_range", to=[0, 1, 1]),
+        "alphabets[2].uniform_range",
+        "expected an object, got list",
+    ),
+    "uniform-range-missing": (
+        edit("alphabets", 2, "uniform_range", "step"),
+        "alphabets[2].uniform_range",
+        "missing required key 'step'",
+    ),
+    "uniform-range-unknown-key": (
+        edit("alphabets", 2, "uniform_range", "count", to=2),
+        "alphabets[2].uniform_range.count",
+        "unknown key",
+    ),
+    "uniform-range-min": (
+        edit("alphabets", 2, "uniform_range", "min", to="0"),
+        "alphabets[2].uniform_range.min",
+        "expected a number, got '0'",
+    ),
+    "uniform-range-max": (
+        edit("alphabets", 2, "uniform_range", "max", to=True),
+        "alphabets[2].uniform_range.max",
+        "expected a number, got True",
+    ),
+    "uniform-range-step-infinite": (
+        edit("alphabets", 2, "uniform_range", "step", to=float("inf")),
+        "alphabets[2].uniform_range.step",
+        "expected a finite number, got inf",
+    ),
+    "uniform-range-step-huge-int": (
+        edit("alphabets", 2, "uniform_range", "step", to=10**400),
+        "alphabets[2].uniform_range.step",
+        f"expected a finite number, got {10**400!r}",
+    ),
+    "uniform-range-step-zero": (
+        edit("alphabets", 2, "uniform_range", "step", to=0),
+        "alphabets[2].uniform_range",
+        "grid step must be positive, got 0.0",
+    ),
+    "letters-not-list": (
+        edit("alphabets", 1, "letters", to={"w": 1.0}),
+        "alphabets[1].letters",
+        "expected a list, got dict",
+    ),
+    "letters-empty": (
+        edit("alphabets", 1, "letters", to=[]),
+        "alphabets[1].letters",
+        "alphabet needs at least one letter",
+    ),
+    "letter-not-object": (
+        edit("alphabets", 1, "letters", 1, to="x"),
+        "alphabets[1].letters[1]",
+        "expected an object, got str",
+    ),
+    "letter-missing-id": (
+        edit("alphabets", 1, "letters", 1, "id"),
+        "alphabets[1].letters[1]",
+        "missing required key 'id'",
+    ),
+    "letter-unknown-key": (
+        edit("alphabets", 1, "letters", 1, "weight", to=1.0),
+        "alphabets[1].letters[1].weight",
+        "unknown key",
+    ),
+    "letter-id-type": (
+        edit("alphabets", 1, "letters", 1, "id", to=True),
+        "alphabets[1].letters[1].id",
+        "letter id must be a string or integer, got True",
+    ),
+    "letter-label": (
+        edit("alphabets", 1, "letters", 0, "label", to=3),
+        "alphabets[1].letters[0].label",
+        "expected a non-empty string, got 3",
+    ),
+    "letter-probability": (
+        edit("alphabets", 1, "letters", 1, "probability", to=None),
+        "alphabets[1].letters[1].probability",
+        "expected a number, got None",
+    ),
+    "letter-probabilities-partial": (
+        edit("alphabets", 1, "letters", 3, "probability"),
+        "alphabets[1].letters",
+        "either every letter carries a probability or none do",
+    ),
+    "letter-duplicate-id": (
+        edit("alphabets", 1, "letters", 3, "id", to="w"),
+        "alphabets[1]",
+        "alphabet 'a4' has duplicate letter ids",
+    ),
+    "letter-probabilities-sum": (
+        edit("alphabets", 1, "letters", 3, "probability", to=0.5),
+        "alphabets[1]",
+        "mass sums to 1.25 (expected 1 within 1e-09)",
+    ),
+    "letter-probability-negative": (
+        edit("alphabets", 1, "letters", 3, "probability", to=-0.25),
+        "alphabets[1]",
+        "letter 'z': negative mass -0.25; mass sums to 0.5 (expected 1 within 1e-09)",
+    ),
+    "channel-not-object": (
+        edit("channels", 0, to=None),
+        "channels[0]",
+        "expected an object, got NoneType",
+    ),
+    "channel-missing-to": (
+        edit("channels", 0, "to"),
+        "channels[0]",
+        "missing required key 'to'",
+    ),
+    "channel-unknown-key": (
+        edit("channels", 0, "note", to="n"),
+        "channels[0].note",
+        "unknown key",
+    ),
+    "channel-id": (
+        edit("channels", 0, "id", to=""),
+        "channels[0].id",
+        "expected a non-empty string, got ''",
+    ),
+    "channel-from": (
+        edit("channels", 0, "from", to=3),
+        "channels[0].from",
+        "expected a non-empty string, got 3",
+    ),
+    "channel-to": (
+        edit("channels", 0, "to", to=["a4"]),
+        "channels[0].to",
+        "expected a non-empty string, got ['a4']",
+    ),
+    "channel-no-kind": (
+        edit("channels", 0, "deterministic"),
+        "channels[0]",
+        "needs exactly one of 'deterministic' or 'stochastic'",
+    ),
+    "channel-two-kinds": (
+        edit("channels", 0, "stochastic", to={"rows": {}}),
+        "channels[0]",
+        "needs exactly one of 'deterministic' or 'stochastic'",
+    ),
+    "deterministic-not-object": (
+        edit("channels", 0, "deterministic", to=[]),
+        "channels[0].deterministic",
+        "expected an object, got list",
+    ),
+    "deterministic-unknown-key": (
+        edit("channels", 0, "deterministic", "table", to={}),
+        "channels[0].deterministic.table",
+        "unknown key",
+    ),
+    "deterministic-no-mode": (
+        edit("channels", 0, "deterministic", "map"),
+        "channels[0].deterministic",
+        "needs exactly one of 'map' or 'quantizer'",
+    ),
+    "quantizer-not-object": (
+        edit("channels", 3, "deterministic", "quantizer", to=2),
+        "channels[3].deterministic.quantizer",
+        "expected an object, got int",
+    ),
+    "quantizer-missing-pixels": (
+        edit("channels", 3, "deterministic", "quantizer", "pixels"),
+        "channels[3].deterministic.quantizer",
+        "missing required key 'pixels'",
+    ),
+    "quantizer-unknown-key": (
+        edit("channels", 3, "deterministic", "quantizer", "bins", to=2),
+        "channels[3].deterministic.quantizer.bins",
+        "unknown key",
+    ),
+    "quantizer-pixels-type": (
+        edit("channels", 3, "deterministic", "quantizer", "pixels", to=2.0),
+        "channels[3].deterministic.quantizer.pixels",
+        "expected an integer, got 2.0",
+    ),
+    "quantizer-pixels-mismatch": (
+        edit("channels", 3, "deterministic", "quantizer", "pixels", to=3),
+        "channels[3].deterministic.quantizer",
+        "channel 'plot': target 'a2' has 2 letters, quantizer was declared with pixels=3",
+    ),
+    "quantizer-non-grid-source": (
+        edit("channels", 3, "from", to="a8"),
+        "channels[3].deterministic.quantizer",
+        "channel 'plot': quantizer needs a numeric grid source alphabet",
+    ),
+    "map-not-object": (
+        edit("channels", 0, "deterministic", "map", to=["w"]),
+        "channels[0].deterministic.map",
+        "expected an object, got list",
+    ),
+    "map-unknown-source": (
+        edit("channels", 0, "deterministic", "map", "8", to="w"),
+        "channels[0].deterministic.map['8']",
+        "'8' is not a letter of alphabet 'a8'",
+    ),
+    "map-unknown-image": (
+        edit("channels", 0, "deterministic", "map", "3", to="v"),
+        "channels[0].deterministic.map['3']",
+        "'v' is not a letter of alphabet 'a4'",
+    ),
+    "map-image-type": (
+        edit("channels", 0, "deterministic", "map", "3", to=None),
+        "channels[0].deterministic.map['3']",
+        "None is not a letter of alphabet 'a4'",
+    ),
+    "map-not-total": (
+        edit("channels", 0, "deterministic", "map", "7"),
+        "channels[0].deterministic.map",
+        "channel 'first': no image for source letter '7'",
+    ),
+    "stochastic-not-object": (
+        edit("channels", 1, "stochastic", to=1),
+        "channels[1].stochastic",
+        "expected an object, got int",
+    ),
+    "stochastic-missing-rows": (
+        edit("channels", 1, "stochastic", "rows"),
+        "channels[1].stochastic",
+        "missing required key 'rows'",
+    ),
+    "stochastic-unknown-key": (
+        edit("channels", 1, "stochastic", "cols", to={}),
+        "channels[1].stochastic.cols",
+        "unknown key",
+    ),
+    "rows-not-object": (
+        edit("channels", 1, "stochastic", "rows", to=[]),
+        "channels[1].stochastic.rows",
+        "expected an object, got list",
+    ),
+    "row-unknown-source": (
+        edit("channels", 1, "stochastic", "rows", "v", to={"0": 1.0}),
+        "channels[1].stochastic.rows['v']",
+        "'v' is not a letter of alphabet 'a4'",
+    ),
+    "row-not-object": (
+        edit("channels", 1, "stochastic", "rows", "x", to=[0.5, 0.5]),
+        "channels[1].stochastic.rows['x']",
+        "expected an object, got list",
+    ),
+    "row-unknown-target": (
+        edit("channels", 1, "stochastic", "rows", "x", "2", to=0.0),
+        "channels[1].stochastic.rows['x']['2']",
+        "'2' is not a letter of alphabet 'a2'",
+    ),
+    "row-entry-type": (
+        edit("channels", 1, "stochastic", "rows", "x", "1", to="0.5"),
+        "channels[1].stochastic.rows['x']['1']",
+        "expected a number, got '0.5'",
+    ),
+    "row-entry-infinite": (
+        edit("channels", 1, "stochastic", "rows", "x", "1", to=float("inf")),
+        "channels[1].stochastic.rows['x']['1']",
+        "expected a finite number, got inf",
+    ),
+    "rows-not-normalized": (
+        edit("channels", 1, "stochastic", "rows", "x", "1", to=0.25),
+        "channels[1].stochastic.rows",
+        "channel 'second': row 'x' sums to 0.75 (expected 1 within 1e-09)",
+    ),
+    "rows-not-total": (
+        edit("channels", 1, "stochastic", "rows", "z"),
+        "channels[1].stochastic.rows",
+        "channel 'second': no conditional row for source letter 'z'",
+    ),
+    "stage-not-object": (
+        edit("stages", 0, to="s1"),
+        "stages[0]",
+        "expected an object, got str",
+    ),
+    "stage-missing-cost": (
+        edit("stages", 0, "cost"),
+        "stages[0]",
+        "missing required key 'cost'",
+    ),
+    "stage-unknown-key": (
+        edit("stages", 0, "inverse", to="bayes"),
+        "stages[0].inverse",
+        "unknown key",
+    ),
+    "stage-id": (
+        edit("stages", 0, "id", to=1),
+        "stages[0].id",
+        "expected a non-empty string, got 1",
+    ),
+    "stage-forward-type": (
+        edit("stages", 0, "forward", to=None),
+        "stages[0].forward",
+        "expected a non-empty string, got None",
+    ),
+    "stage-forward-unknown": (
+        edit("stages", 0, "forward", to="ghost"),
+        "stages[0].forward",
+        "unknown channel 'ghost'",
+    ),
+    "stage-recon-type": (
+        edit("stages", 1, "recon", to=False),
+        "stages[1].recon",
+        "expected a non-empty string, got False",
+    ),
+    "stage-recon-unknown": (
+        edit("stages", 1, "recon", to="ghost"),
+        "stages[1].recon",
+        "unknown channel 'ghost' (or 'bayes')",
+    ),
+    "stage-recon-mismatch": (
+        edit("stages", 1, "recon", to="leap"),
+        "stages[1]",
+        "reconstruction 'leap' is not oriented from 'a2' back to 'a4'",
+    ),
+    "stage-cost-type": (
+        edit("stages", 0, "cost", to="1"),
+        "stages[0].cost",
+        "expected a number, got '1'",
+    ),
+    "stage-cost-negative": (
+        edit("stages", 0, "cost", to=-2.0),
+        "stages[0]",
+        "stage cost must be finite and >= 0, got -2.0",
+    ),
+    "pipeline-not-object": (
+        edit("pipelines", 0, to=["s1", "s2"]),
+        "pipelines[0]",
+        "expected an object, got list",
+    ),
+    "pipeline-missing-stages": (
+        edit("pipelines", 0, "stages"),
+        "pipelines[0]",
+        "missing required key 'stages'",
+    ),
+    "pipeline-unknown-key": (
+        edit("pipelines", 0, "cost", to=1.0),
+        "pipelines[0].cost",
+        "unknown key",
+    ),
+    "pipeline-id": (
+        edit("pipelines", 0, "id", to=0),
+        "pipelines[0].id",
+        "expected a non-empty string, got 0",
+    ),
+    "pipeline-stages-type": (
+        edit("pipelines", 0, "stages", to="s1"),
+        "pipelines[0].stages",
+        "expected a list, got str",
+    ),
+    "pipeline-one-stage": (
+        edit("pipelines", 0, "stages", to=["s1"]),
+        "pipelines[0].stages",
+        "a pipeline needs at least two stages",
+    ),
+    "pipeline-no-stages-with-prior": (
+        edit("pipelines", 0, "stages", to=[]),
+        "pipelines[0].stages",
+        "a pipeline needs at least two stages",
+    ),
+    "pipeline-stage-type": (
+        edit("pipelines", 0, "stages", to=["s1", 3]),
+        "pipelines[0].stages[1]",
+        "expected a non-empty string, got 3",
+    ),
+    "pipeline-stage-unknown": (
+        edit("pipelines", 0, "stages", to=["s1", "ghost"]),
+        "pipelines[0].stages[1]",
+        "unknown stage 'ghost'",
+    ),
+    "pipeline-broken-chain": (
+        edit("pipelines", 0, "stages", to=["s2", "s1"], data=edit("pipelines", 0, "prior")),
+        "pipelines[0]",
+        "pipeline 'p': stage 0 ends in 'a2' but stage 1 starts from 'a8'",
+    ),
+    "prior-not-object": (
+        edit("pipelines", 0, "prior", to=[0.125] * 8),
+        "pipelines[0].prior",
+        "expected an object, got list",
+    ),
+    "prior-unknown-letter": (
+        edit("pipelines", 0, "prior", "8", to=0.0),
+        "pipelines[0].prior['8']",
+        "'8' is not a letter of alphabet 'a8'",
+    ),
+    "prior-value-type": (
+        edit("pipelines", 0, "prior", "3", to=None),
+        "pipelines[0].prior['3']",
+        "expected a number, got None",
+    ),
+    "prior-partial": (
+        edit("pipelines", 0, "prior", "7"),
+        "pipelines[0].prior",
+        "covers 7 of 8 letters of 'a8'",
+    ),
+    "prior-not-normalized": (
+        edit("pipelines", 0, "prior", "7", to=0.5),
+        "pipelines[0].prior",
+        "mass sums to 1.375 (expected 1 within 1e-09)",
+    ),
+    "route-not-object": (
+        edit("direct_routes", 0, to=[]),
+        "direct_routes[0]",
+        "expected an object, got list",
+    ),
+    "route-missing-pipeline": (
+        edit("direct_routes", 0, "pipeline"),
+        "direct_routes[0]",
+        "missing required key 'pipeline'",
+    ),
+    "route-unknown-key": (
+        edit("direct_routes", 0, "cost", to=1),
+        "direct_routes[0].cost",
+        "unknown key",
+    ),
+    "route-id": (
+        edit("direct_routes", 0, "id", to=""),
+        "direct_routes[0].id",
+        "expected a non-empty string, got ''",
+    ),
+    "route-stage-type": (
+        edit("direct_routes", 0, "stage", to=2),
+        "direct_routes[0].stage",
+        "expected a non-empty string, got 2",
+    ),
+    "route-pipeline-type": (
+        edit("direct_routes", 0, "pipeline", to={}),
+        "direct_routes[0].pipeline",
+        "expected a non-empty string, got {}",
+    ),
+    "route-stage-unknown": (
+        edit("direct_routes", 0, "stage", to="ghost"),
+        "direct_routes[0].stage",
+        "unknown stage 'ghost'",
+    ),
+    "route-pipeline-unknown": (
+        edit("direct_routes", 0, "pipeline", to="ghost"),
+        "direct_routes[0].pipeline",
+        "unknown pipeline 'ghost'",
+    ),
+    "route-start-mismatch": (
+        edit("direct_routes", 0, "stage", to="s2"),
+        "direct_routes[0]",
+        "stage 's2' starts from 'a4' but pipeline 'p' starts from 'a8'",
+    ),
+    "route-end-mismatch": (
+        edit("direct_routes", 0, "stage", to="s1"),
+        "direct_routes[0]",
+        "stage 's1' ends in 'a4' but pipeline 'p' ends in 'a2'",
+    ),
+    "judgment-not-object": (
+        edit("judgments", 0, to=3),
+        "judgments[0]",
+        "expected an object, got int",
+    ),
+    "judgment-missing-condition": (
+        edit("judgments", 0, "condition_b"),
+        "judgments[0]",
+        "missing required key 'condition_b'",
+    ),
+    "judgment-unknown-key": (
+        edit("judgments", 0, "weight", to=1),
+        "judgments[0].weight",
+        "unknown key",
+    ),
+    "judgment-id": (
+        edit("judgments", 0, "id", to=None),
+        "judgments[0].id",
+        "expected a non-empty string, got None",
+    ),
+    "judgment-condition-a": (
+        edit("judgments", 0, "condition_a", to=1),
+        "judgments[0].condition_a",
+        "expected true or false, got 1",
+    ),
+    "judgment-condition-b-type": (
+        edit("judgments", 0, "condition_b", to=True),
+        "judgments[0].condition_b",
+        "expected a non-empty string, got True",
+    ),
+    "judgment-condition-b-unknown": (
+        edit("judgments", 0, "condition_b", to="sideways"),
+        "judgments[0].condition_b",
+        "unknown value 'sideways' (expected satisfied, not_applicable, or negated)",
+    ),
+    "judgment-score-type": (
+        edit("judgments", 0, "score", to=3.0),
+        "judgments[0].score",
+        "expected an integer, got 3.0",
+    ),
+    "judgment-score-inconsistent": (
+        edit("judgments", 0, "score", to=1),
+        "judgments[0].score",
+        "1 is inconsistent with the conditions (expected 3)",
+    ),
+    "view-not-object": (
+        edit("judgments", 0, "point_of_view", to="search data"),
+        "judgments[0].point_of_view",
+        "expected an object, got str",
+    ),
+    "view-missing-target": (
+        edit("judgments", 0, "point_of_view", "target"),
+        "judgments[0].point_of_view",
+        "missing required key 'target'",
+    ),
+    "view-unknown-key": (
+        edit("judgments", 0, "point_of_view", "goal", to="x"),
+        "judgments[0].point_of_view.goal",
+        "unknown key",
+    ),
+    "view-action-type": (
+        edit("judgments", 0, "point_of_view", "action", to=1),
+        "judgments[0].point_of_view.action",
+        "expected a non-empty string, got 1",
+    ),
+    "view-target-type": (
+        edit("judgments", 0, "point_of_view", "target", to=""),
+        "judgments[0].point_of_view.target",
+        "expected a non-empty string, got ''",
+    ),
+    "view-action-unknown": (
+        edit("judgments", 0, "point_of_view", "action", to="ponder"),
+        "judgments[0].point_of_view.action",
+        "unknown action 'ponder' (expected one of analyze, search, query)",
+    ),
+    "view-target-unknown": (
+        edit("judgments", 0, "point_of_view", "target", to="nowhere"),
+        "judgments[0].point_of_view.target",
+        "unknown target 'nowhere' (expected one of data, attributes, networks, spatial)",
+    ),
+    "view-refinement": (
+        edit("judgments", 0, "point_of_view", "refinement", to=[]),
+        "judgments[0].point_of_view.refinement",
+        "expected a non-empty string, got []",
+    ),
+    "axis-not-object": (
+        edit("axes", 0, to="detail"),
+        "axes[0]",
+        "expected an object, got str",
+    ),
+    "axis-missing-nodes": (
+        edit("axes", 0, "nodes"),
+        "axes[0]",
+        "missing required key 'nodes'",
+    ),
+    "axis-unknown-key": (
+        edit("axes", 0, "kind", to="data"),
+        "axes[0].kind",
+        "unknown key",
+    ),
+    "axis-id": (
+        edit("axes", 0, "id", to=5),
+        "axes[0].id",
+        "expected a non-empty string, got 5",
+    ),
+    "axis-purpose": (
+        edit("axes", 0, "purpose", to=None),
+        "axes[0].purpose",
+        "expected a non-empty string, got None",
+    ),
+    "axis-nodes-type": (
+        edit("axes", 0, "nodes", to={}),
+        "axes[0].nodes",
+        "expected a list, got dict",
+    ),
+    "axis-one-node": (
+        edit("axes", 0, "nodes", 1),
+        "axes[0]",
+        "axis 'detail' needs at least two nodes",
+    ),
+    "axis-duplicate-node": (
+        edit("axes", 0, "nodes", 1, "id", to="fine"),
+        "axes[0]",
+        "axis 'detail' has duplicate node ids",
+    ),
+    "node-not-object": (
+        edit("axes", 0, "nodes", 1, to="coarse"),
+        "axes[0].nodes[1]",
+        "expected an object, got str",
+    ),
+    "node-missing-kind": (
+        edit("axes", 0, "nodes", 1, "kind"),
+        "axes[0].nodes[1]",
+        "missing required key 'kind'",
+    ),
+    "node-unknown-key": (
+        edit("axes", 0, "nodes", 1, "label", to="c"),
+        "axes[0].nodes[1].label",
+        "unknown key",
+    ),
+    "node-id": (
+        edit("axes", 0, "nodes", 1, "id", to=""),
+        "axes[0].nodes[1].id",
+        "expected a non-empty string, got ''",
+    ),
+    "node-kind-type": (
+        edit("axes", 0, "nodes", 1, "kind", to=0),
+        "axes[0].nodes[1].kind",
+        "expected a non-empty string, got 0",
+    ),
+    "node-kind-unknown": (
+        edit("axes", 0, "nodes", 1, "kind", to="sketch"),
+        "axes[0].nodes[1].kind",
+        "unknown kind 'sketch' (expected data or visual)",
+    ),
+    "node-information-type": (
+        edit("axes", 0, "nodes", 0, "information", to="2"),
+        "axes[0].nodes[0].information",
+        "expected a number, got '2'",
+    ),
+    "node-information-negative": (
+        edit("axes", 0, "nodes", 0, "information", to=-1.0),
+        "axes[0].nodes[0]",
+        "node 'fine': information must be finite and >= 0, got -1.0",
+    ),
+    "node-alphabet-type": (
+        edit("axes", 0, "nodes", 1, "alphabet", to=2),
+        "axes[0].nodes[1].alphabet",
+        "expected a non-empty string, got 2",
+    ),
+    "node-alphabet-unknown": (
+        edit("axes", 0, "nodes", 1, "alphabet", to="ghost"),
+        "axes[0].nodes[1].alphabet",
+        "unknown alphabet 'ghost'",
+    ),
+    "node-information-disagrees": (
+        edit("axes", 0, "nodes", 1, "information", to=2.0),
+        "axes[0].nodes[1].information",
+        "2.0 disagrees with the entropy 1.0 of alphabet 'a2'",
+    ),
+    "node-no-information": (
+        edit("axes", 0, "nodes", 1, "alphabet"),
+        "axes[0].nodes[1]",
+        "needs 'information' or an 'alphabet' reference",
+    ),
+    "node-attributes-type": (
+        edit("axes", 0, "nodes", 1, "attributes", to="marks"),
+        "axes[0].nodes[1].attributes",
+        "expected a list, got str",
+    ),
+    "node-attribute-type": (
+        edit("axes", 0, "nodes", 1, "attributes", to=["marks", 1]),
+        "axes[0].nodes[1].attributes[1]",
+        "expected a non-empty string, got 1",
+    ),
+}
+
+
+class TestEveryErrorPath:
+    def test_full_declaration_parses(self):
+        scenario = parse(full())
+        assert len(scenario.channels) == 4
+        assert scenario.judgments[0].point_of_view is not None
+        assert scenario.axes["detail"].nodes[1].information == 1.0
+
+    @pytest.mark.parametrize("case", sorted(ERRORS))
+    def test_fails_at_its_path_with_exit_one(self, case, tmp_path, capsys):
+        data, path, message = ERRORS[case]
+        e = err(data)
+        assert (e.path, e.message) == (path, message)
+        target = tmp_path / "bad.json"
+        target.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["validate", str(target)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 class TestStochasticEntryBudget:
     def budget_probe(self) -> dict:
         """4096 rows of 257 entries each: 4096 entries over the budget."""
