@@ -32,7 +32,6 @@ from .channel import (
     Channel,
     alphabet_compression,
     bayes_inverse,
-    compose,
     potential_distortion,
     push_forward,
     reconstructed_pmf,
@@ -74,7 +73,6 @@ __all__ = [
     "Channel",
     "alphabet_compression",
     "bayes_inverse",
-    "compose",
     "potential_distortion",
     "push_forward",
     "reconstructed_pmf",

@@ -21,7 +21,7 @@ grid's image, and `_from_rows` checks on whole arrays that every source has
 a row, no entry is negative and each row sums to one. `Channel.deterministic`,
 `Channel.stochastic` and the scenario loader resolve letters to positions in
 front of them.
-Derived channels (Bayes inversions, compositions) may span alphabets far
+Derived channels (Bayes inversions) may span alphabets far
 larger than the declared-channel limits; listing only the entries a channel
 can reach is what keeps the exact double summations tractable at that size.
 The pmfs the operations return take their freshly computed vectors as they
@@ -396,31 +396,6 @@ def push_forward(prior: Pmf, c: Channel) -> Pmf:
     pvec = prior.aligned_to(c.source.letter_ids)
     out = _marginal(c.cols, _joint(pvec, c), c.target.n_letters)
     return Pmf.from_vector(c.target.letter_ids, out)
-
-
-def compose(c1: Channel, c2: Channel) -> Channel:
-    """Channel equivalent to applying ``c1`` then ``c2``.
-
-    Deterministic composed with deterministic stays deterministic; otherwise
-    the result is deterministic only where every source lands on one target
-    with probability exactly 1.
-    """
-    _require_same_letters(c1.target, c2.source, "compose")
-    # each entry (i, j) of c1 meets every entry (j, k) of c2
-    counts = np.bincount(c2.rows, minlength=c2.source.n_letters)
-    fan = counts[c1.cols]
-    total = int(fan.sum())
-    _require_derived_size(total)
-    first_of_row = np.cumsum(counts) - counts
-    first_of_entry = np.cumsum(fan) - fan
-    pick = np.repeat(first_of_row[c1.cols] - first_of_entry, fan) + np.arange(
-        total, dtype=np.intp
-    )
-    # sort the entries by (row, col), adding up those on one pair in order
-    n_cols = c2.target.n_letters
-    keys, where = np.unique(np.repeat(c1.rows, fan) * n_cols + c2.cols[pick], return_inverse=True)
-    vals = np.bincount(where, weights=np.repeat(c1.vals, fan) * c2.vals[pick], minlength=len(keys))
-    return Channel(f"{c1.id}*{c2.id}", c1.source, c2.target, keys // n_cols, keys % n_cols, vals)
 
 
 def bayes_inverse(c: Channel, prior: Pmf) -> Channel:

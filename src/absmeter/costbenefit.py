@@ -111,8 +111,7 @@ class AbstractionJudgment:
         expected = abstraction_score(self.condition_a, self.condition_b)
         if self.score != expected:
             raise ValueError(
-                f"judgment{f' {self.id!r}' if self.id else ''}: score {self.score} "
-                f"is inconsistent with conditions (expected {expected})"
+                f"{self.score} is inconsistent with the conditions (expected {expected})"
             )
 
 

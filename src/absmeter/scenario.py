@@ -6,6 +6,10 @@ carry the JSON path of the offending element ("channels[0].from") so files
 can be fixed without reading a stack trace. Loaded scenarios keep their
 normalized declaration, so serializing and reloading is the identity on the
 validated structure.
+
+One helper states each check: `_open` (object and keys), `_get` (typed
+field), `_ref` (reference by id), `_one_of`, `_choice` (enum value) and `_at`
+(a constructor's ValueError at a path); the `_build_*` functions combine them.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .channel import MAX_DETERMINISTIC_LETTERS, Channel, _require_declared_size,
 from .costbenefit import (
     BAYES,
     AbstractionJudgment,
+    ConditionB,
     Pipeline,
     PointOfView,
     Stage,
@@ -103,14 +108,67 @@ def _as_int(value: Any, path: str) -> int:
     return value
 
 
-def _check_keys(obj: dict, path: str, required: tuple, optional: tuple = ()) -> None:
+def _open(decl: Any, path: str, required: tuple, optional: tuple = ()) -> dict:
+    """``decl`` as an object with every ``required`` key and no keys but those and ``optional``."""
+    decl = _as_obj(decl, path)
     for key in required:
-        if key not in obj:
+        if key not in decl:
             _fail(path, f"missing required key '{key}'")
-    allowed = set(required) | set(optional)
-    for key in obj:
-        if key not in allowed:
+    for key in decl:
+        if key not in required and key not in optional:
             _fail(f"{path}.{key}", "unknown key")
+    return decl
+
+
+def _get(decl: dict, key: str, path: str, as_type: Callable, default: Any = None) -> Any:
+    """``as_type(decl[key], "path.key")``, or ``default`` when ``decl`` has no ``key``."""
+    if key not in decl:
+        return default
+    return as_type(decl[key], f"{path}.{key}")
+
+
+def _ref(decl: dict | list, key: str | int, path: str, table: dict, noun: str) -> Any:
+    """The element of ``table`` whose id ``decl[key]`` names. The path is
+    ``path.key``, or ``path[key]`` for a list index."""
+    where = f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}"
+    ref = _as_str(decl[key], where)
+    if ref not in table:
+        _fail(where, f"unknown {noun} '{ref}'")
+    return table[ref]
+
+
+def _one_of(decl: dict, path: str, keys: tuple) -> str:
+    """The one key of ``keys`` that ``decl`` has."""
+    present = [key for key in keys if key in decl]
+    if len(present) != 1:
+        names = (" or " if len(keys) == 2 else ", ").join(f"'{key}'" for key in keys)
+        _fail(path, f"needs exactly one of {names}")
+    return present[0]
+
+
+def _choice(enum: type, decl: dict, key: str, path: str, noun: str, expected: str = "") -> Any:
+    """The member of ``enum`` whose value ``decl[key]`` is. A failure lists
+    ``expected``, by default every value of ``enum``."""
+    value = _get(decl, key, path, _as_str)
+    try:
+        return enum(value)
+    except ValueError:
+        expected = expected or f"one of {', '.join(member.value for member in enum)}"
+        _fail(f"{path}.{key}", f"unknown {noun} {value!r} (expected {expected})")
+
+
+class _at:
+    """Report a constructor's ValueError as a ScenarioError at ``path``."""
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind: type | None, error: BaseException | None, trace: Any) -> None:
+        if isinstance(error, ValueError) and not isinstance(error, ScenarioError):
+            _fail(self.path, str(error))
 
 
 def _letter_position(alphabet: Alphabet, key: Any, path: str) -> int:
@@ -176,18 +234,12 @@ class Scenario:
 
 
 def _build_alphabet(decl: Any, path: str) -> Alphabet:
-    decl = _as_obj(decl, path)
-    _check_keys(decl, path, ("id",), ("letters", "uniform_count", "uniform_range"))
-    aid = _as_str(decl["id"], f"{path}.id")
-    modes = [k for k in ("letters", "uniform_count", "uniform_range") if k in decl]
-    if len(modes) != 1:
-        _fail(
-            path,
-            "needs exactly one of 'letters', 'uniform_count', 'uniform_range'",
-        )
-    mode = modes[0]
+    modes = ("letters", "uniform_count", "uniform_range")
+    decl = _open(decl, path, ("id",), modes)
+    aid = _get(decl, "id", path, _as_str)
+    mode = _one_of(decl, path, modes)
     if mode == "uniform_count":
-        n = _as_int(decl["uniform_count"], f"{path}.uniform_count")
+        n = _get(decl, "uniform_count", path, _as_int)
         if n < 1:
             _fail(f"{path}.uniform_count", f"must be >= 1, got {n}")
         if n > MAX_DETERMINISTIC_LETTERS:
@@ -198,44 +250,36 @@ def _build_alphabet(decl: Any, path: str) -> Alphabet:
             )
         return Alphabet(aid, tuple(map(str, range(n))))
     if mode == "uniform_range":
-        spec = _as_obj(decl["uniform_range"], f"{path}.uniform_range")
-        _check_keys(spec, f"{path}.uniform_range", ("min", "max", "step"))
-        lo = _as_number(spec["min"], f"{path}.uniform_range.min")
-        hi = _as_number(spec["max"], f"{path}.uniform_range.max")
-        step = _as_number(spec["step"], f"{path}.uniform_range.step")
-        try:
+        rpath = f"{path}.uniform_range"
+        spec = _open(decl["uniform_range"], rpath, ("min", "max", "step"))
+        lo, hi, step = (_get(spec, key, rpath, _as_number) for key in ("min", "max", "step"))
+        with _at(rpath):
             return make_quantized_range(
                 lo, hi, step, id=aid, max_letters=MAX_DETERMINISTIC_LETTERS
             )
-        except ValueError as e:
-            _fail(f"{path}.uniform_range", str(e))
-    entries = _as_list(decl["letters"], f"{path}.letters")
+    entries = _get(decl, "letters", path, _as_list)
     if not entries:
         _fail(f"{path}.letters", "alphabet needs at least one letter")
     ids: list[LetterId] = []
-    probs: list[float] = []
+    probs: list[float | None] = []
     for i, entry in enumerate(entries):
         epath = f"{path}.letters[{i}]"
-        entry = _as_obj(entry, epath)
-        _check_keys(entry, epath, ("id",), ("probability", "label"))
+        entry = _open(entry, epath, ("id",), ("probability", "label"))
         lid = entry["id"]
         if isinstance(lid, bool) or not isinstance(lid, (str, int)):
             _fail(f"{epath}.id", f"letter id must be a string or integer, got {lid!r}")
-        if "label" in entry:  # kept in the declaration only
-            _as_str(entry["label"], f"{epath}.label")
+        _get(entry, "label", epath, _as_str)  # kept in the declaration only
         ids.append(lid)
-        if "probability" in entry:
-            probs.append(_as_number(entry["probability"], f"{epath}.probability"))
-    if probs and len(probs) != len(entries):
+        probs.append(_get(entry, "probability", epath, _as_number))
+    if probs.count(None) not in (0, len(probs)):
         _fail(
             f"{path}.letters",
             "either every letter carries a probability or none do",
         )
     ids = tuple(ids)
-    try:
-        built = Alphabet(aid, ids, Pmf.from_vector(ids, probs) if probs else None)
-    except ValueError as e:
-        _fail(path, str(e))
+    with _at(path):
+        pmf = None if probs[0] is None else Pmf.from_vector(ids, probs)
+        built = Alphabet(aid, ids, pmf)
     problems = built.pmf.violations()
     if problems:
         _fail(path, "; ".join(problems))
@@ -243,102 +287,71 @@ def _build_alphabet(decl: Any, path: str) -> Alphabet:
 
 
 def _build_channel(decl: Any, path: str, alphabets: dict[str, Alphabet]) -> Channel:
-    decl = _as_obj(decl, path)
-    _check_keys(decl, path, ("id", "from", "to"), ("deterministic", "stochastic"))
-    cid = _as_str(decl["id"], f"{path}.id")
-    from_id = _as_str(decl["from"], f"{path}.from")
-    to_id = _as_str(decl["to"], f"{path}.to")
-    if from_id not in alphabets:
-        _fail(f"{path}.from", f"unknown alphabet '{from_id}'")
-    if to_id not in alphabets:
-        _fail(f"{path}.to", f"unknown alphabet '{to_id}'")
-    source, target = alphabets[from_id], alphabets[to_id]
-    kinds = [k for k in ("deterministic", "stochastic") if k in decl]
-    if len(kinds) != 1:
-        _fail(path, "needs exactly one of 'deterministic' or 'stochastic'")
-    if kinds[0] == "deterministic":
-        spec = _as_obj(decl["deterministic"], f"{path}.deterministic")
-        _check_keys(spec, f"{path}.deterministic", (), ("map", "quantizer"))
-        inner = [k for k in ("map", "quantizer") if k in spec]
-        if len(inner) != 1:
-            _fail(
-                f"{path}.deterministic",
-                "needs exactly one of 'map' or 'quantizer'",
-            )
-        if inner[0] == "quantizer":
-            q = _as_obj(spec["quantizer"], f"{path}.deterministic.quantizer")
-            _check_keys(q, f"{path}.deterministic.quantizer", ("pixels",))
-            pixels = _as_int(q["pixels"], f"{path}.deterministic.quantizer.pixels")
-            try:
+    kinds = ("deterministic", "stochastic")
+    decl = _open(decl, path, ("id", "from", "to"), kinds)
+    cid = _get(decl, "id", path, _as_str)
+    source = _ref(decl, "from", path, alphabets, "alphabet")
+    target = _ref(decl, "to", path, alphabets, "alphabet")
+    if _one_of(decl, path, kinds) == "deterministic":
+        dpath = f"{path}.deterministic"
+        spec = _open(decl["deterministic"], dpath, (), ("map", "quantizer"))
+        if _one_of(spec, dpath, ("map", "quantizer")) == "quantizer":
+            qpath = f"{dpath}.quantizer"
+            quantizer = _open(spec["quantizer"], qpath, ("pixels",))
+            pixels = _get(quantizer, "pixels", qpath, _as_int)
+            with _at(qpath):
                 return Channel.quantizer(cid, source, target, pixels)
-            except ValueError as e:
-                _fail(f"{path}.deterministic.quantizer", str(e))
-        mpath = f"{path}.deterministic.map"
+        mpath = f"{dpath}.map"
+        raw_map = _get(spec, "map", dpath, _as_obj)
         sources, images = _by_position(
-            source, _as_obj(spec["map"], mpath), mpath, lambda v, p: _letter_position(target, v, p)
+            source, raw_map, mpath, lambda v, p: _letter_position(target, v, p)
         )
-        try:
+        with _at(mpath):
             return Channel._from_map(cid, source, target, sources, images)
-        except ValueError as e:
-            _fail(mpath, str(e))
-    spec = _as_obj(decl["stochastic"], f"{path}.stochastic")
-    _check_keys(spec, f"{path}.stochastic", ("rows",))
-    rpath = f"{path}.stochastic.rows"
-    raw_rows = _as_obj(spec["rows"], rpath)
+    spath = f"{path}.stochastic"
+    rpath = f"{spath}.rows"
+    spec = _open(decl["stochastic"], spath, ("rows",))
+    raw_rows = _get(spec, "rows", spath, _as_obj)
     keys, rows = _by_position(source, raw_rows, rpath, _as_obj)
     sizes = [len(row) for row in rows]
-    try:
+    with _at(rpath):
         _require_declared_size(cid, "stochastic", source, target, sum(sizes))
-    except ValueError as e:
-        _fail(rpath, str(e))
     cols, vals = [], []
     for key, row in zip(raw_rows, rows):
         row_cols, row_vals = _by_position(target, row, f"{rpath}[{key!r}]", _as_number)
         cols += row_cols
         vals += row_vals
-    try:
+    with _at(rpath):
         return Channel._from_rows(cid, source, target, keys, sizes, cols, vals)
-    except ValueError as e:
-        _fail(rpath, str(e))
 
 
 def _build_stage(decl: Any, path: str, channels: dict[str, Channel]) -> Stage:
-    decl = _as_obj(decl, path)
-    _check_keys(decl, path, ("id", "forward", "cost"), ("recon",))
-    sid = _as_str(decl["id"], f"{path}.id")
-    fwd_id = _as_str(decl["forward"], f"{path}.forward")
-    if fwd_id not in channels:
-        _fail(f"{path}.forward", f"unknown channel '{fwd_id}'")
-    recon: Channel | str = BAYES
-    if "recon" in decl:
-        recon_id = _as_str(decl["recon"], f"{path}.recon")
-        if recon_id != BAYES:
-            if recon_id not in channels:
-                _fail(f"{path}.recon", f"unknown channel '{recon_id}' (or '{BAYES}')")
-            recon = channels[recon_id]
-    cost = _as_number(decl["cost"], f"{path}.cost")
-    try:
-        return Stage(forward=channels[fwd_id], recon=recon, cost=cost, id=sid)
-    except ValueError as e:
-        _fail(path, str(e))
+    decl = _open(decl, path, ("id", "forward", "cost"), ("recon",))
+    sid = _get(decl, "id", path, _as_str)
+    forward = _ref(decl, "forward", path, channels, "channel")
+    recon: Channel | str = _get(decl, "recon", path, _as_str, BAYES)
+    if recon != BAYES:
+        if recon not in channels:
+            _fail(f"{path}.recon", f"unknown channel '{recon}' (or '{BAYES}')")
+        recon = channels[recon]
+    cost = _get(decl, "cost", path, _as_number)
+    with _at(path):
+        return Stage(forward=forward, recon=recon, cost=cost, id=sid)
 
 
 def _build_pipeline(decl: Any, path: str, stages: dict[str, Stage]) -> Pipeline:
-    decl = _as_obj(decl, path)
-    _check_keys(decl, path, ("id", "stages"), ("prior",))
-    pid = _as_str(decl["id"], f"{path}.id")
-    stage_ids = _as_list(decl["stages"], f"{path}.stages")
+    decl = _open(decl, path, ("id", "stages"), ("prior",))
+    pid = _get(decl, "id", path, _as_str)
+    stage_ids = _get(decl, "stages", path, _as_list)
+    # checked here as well as by Pipeline: the prior below reads resolved[0]
     if len(stage_ids) < 2:
         _fail(f"{path}.stages", "a pipeline needs at least two stages")
-    resolved = []
-    for i, sid in enumerate(stage_ids):
-        sid = _as_str(sid, f"{path}.stages[{i}]")
-        if sid not in stages:
-            _fail(f"{path}.stages[{i}]", f"unknown stage '{sid}'")
-        resolved.append(stages[sid])
+    resolved = [
+        _ref(stage_ids, i, f"{path}.stages", stages, "stage") for i in range(len(stage_ids))
+    ]
     prior = None
     if "prior" in decl:
-        raw = _as_obj(decl["prior"], f"{path}.prior")
+        raw = _get(decl, "prior", path, _as_obj)
         first = resolved[0].forward.source
         found, probs = _by_position(first, raw, f"{path}.prior", _as_number)
         if len(found) != first.n_letters:
@@ -348,10 +361,8 @@ def _build_pipeline(decl: Any, path: str, stages: dict[str, Stage]) -> Pipeline:
         problems = prior.violations()
         if problems:
             _fail(f"{path}.prior", "; ".join(problems))
-    try:
+    with _at(path):
         return Pipeline(id=pid, stages=tuple(resolved), prior=prior)
-    except ValueError as e:
-        _fail(path, str(e))
 
 
 def _build_route(
@@ -360,143 +371,83 @@ def _build_route(
     stages: dict[str, Stage],
     pipelines: dict[str, Pipeline],
 ) -> DirectRoute:
-    decl = _as_obj(decl, path)
-    _check_keys(decl, path, ("id", "stage", "pipeline"))
-    rid = _as_str(decl["id"], f"{path}.id")
-    sid = _as_str(decl["stage"], f"{path}.stage")
-    pid = _as_str(decl["pipeline"], f"{path}.pipeline")
-    if sid not in stages:
-        _fail(f"{path}.stage", f"unknown stage '{sid}'")
-    if pid not in pipelines:
-        _fail(f"{path}.pipeline", f"unknown pipeline '{pid}'")
-    stage, pipeline = stages[sid], pipelines[pid]
-    first = pipeline.stages[0].forward.source
-    last = pipeline.stages[-1].forward.target
-    if not _same_letters(first, stage.forward.source):
-        _fail(
-            path,
-            f"stage '{sid}' starts from '{stage.forward.source.id}' but pipeline "
-            f"'{pid}' starts from '{first.id}'",
-        )
-    if not _same_letters(last, stage.forward.target):
-        _fail(
-            path,
-            f"stage '{sid}' ends in '{stage.forward.target.id}' but pipeline "
-            f"'{pid}' ends in '{last.id}'",
-        )
-    return DirectRoute(id=rid, stage=stage, pipeline_id=pid)
+    decl = _open(decl, path, ("id", "stage", "pipeline"))
+    rid = _get(decl, "id", path, _as_str)
+    stage = _ref(decl, "stage", path, stages, "stage")
+    pipeline = _ref(decl, "pipeline", path, pipelines, "pipeline")
+    for verb, ours, theirs in (
+        ("starts from", stage.forward.source, pipeline.stages[0].forward.source),
+        ("ends in", stage.forward.target, pipeline.stages[-1].forward.target),
+    ):
+        if not _same_letters(theirs, ours):
+            _fail(
+                path,
+                f"stage '{stage.id}' {verb} '{ours.id}' but pipeline "
+                f"'{pipeline.id}' {verb} '{theirs.id}'",
+            )
+    return DirectRoute(id=rid, stage=stage, pipeline_id=pipeline.id)
 
 
 def _build_point_of_view(decl: Any, path: str) -> PointOfView:
-    decl = _as_obj(decl, path)
-    _check_keys(decl, path, ("action", "target"), ("refinement",))
-    action = _as_str(decl["action"], f"{path}.action")
-    target = _as_str(decl["target"], f"{path}.target")
-    try:
-        action = TaskAction(action)
-    except ValueError:
-        _fail(
-            f"{path}.action",
-            f"unknown action {action!r} (expected one of "
-            f"{', '.join(a.value for a in TaskAction)})",
-        )
-    try:
-        target = TaskTarget(target)
-    except ValueError:
-        _fail(
-            f"{path}.target",
-            f"unknown target {target!r} (expected one of "
-            f"{', '.join(t.value for t in TaskTarget)})",
-        )
-    refinement = None
-    if "refinement" in decl:
-        refinement = _as_str(decl["refinement"], f"{path}.refinement")
-    return PointOfView(action=action, target=target, refinement=refinement)
+    decl = _open(decl, path, ("action", "target"), ("refinement",))
+    return PointOfView(
+        action=_choice(TaskAction, decl, "action", path, "action"),
+        target=_choice(TaskTarget, decl, "target", path, "target"),
+        refinement=_get(decl, "refinement", path, _as_str),
+    )
 
 
 def _build_judgment(decl: Any, path: str) -> AbstractionJudgment:
-    decl = _as_obj(decl, path)
-    _check_keys(
+    decl = _open(
         decl, path, ("id", "condition_a", "condition_b"), ("score", "point_of_view")
     )
-    jid = _as_str(decl["id"], f"{path}.id")
-    condition_a = _as_bool(decl["condition_a"], f"{path}.condition_a")
-    condition_b = _as_str(decl["condition_b"], f"{path}.condition_b")
-    try:
-        expected = abstraction_score(condition_a, condition_b)
-    except ValueError:
-        _fail(
-            f"{path}.condition_b",
-            f"unknown value {condition_b!r} (expected satisfied, "
-            f"not_applicable, or negated)",
-        )
-    if "score" in decl:
-        score = _as_int(decl["score"], f"{path}.score")
-        if score != expected:
-            _fail(
-                f"{path}.score",
-                f"{score} is inconsistent with the conditions (expected {expected})",
-            )
-    pov = None
-    if "point_of_view" in decl:
-        pov = _build_point_of_view(decl["point_of_view"], f"{path}.point_of_view")
-    return AbstractionJudgment(
-        condition_a=condition_a,
-        condition_b=condition_b,
-        score=expected,
-        point_of_view=pov,
-        id=jid,
+    jid = _get(decl, "id", path, _as_str)
+    condition_a = _get(decl, "condition_a", path, _as_bool)
+    condition_b = _choice(
+        ConditionB, decl, "condition_b", path, "value",
+        "satisfied, not_applicable, or negated",
     )
+    score = _get(decl, "score", path, _as_int, abstraction_score(condition_a, condition_b))
+    pov = _get(decl, "point_of_view", path, _build_point_of_view)
+    with _at(f"{path}.score"):
+        return AbstractionJudgment(
+            condition_a=condition_a,
+            condition_b=condition_b,
+            score=score,
+            point_of_view=pov,
+            id=jid,
+        )
 
 
 def _build_axis(decl: Any, path: str, alphabets: dict[str, Alphabet]) -> AbstractionAxis:
-    decl = _as_obj(decl, path)
-    _check_keys(decl, path, ("id", "nodes"), ("purpose",))
-    axid = _as_str(decl["id"], f"{path}.id")
-    purpose = ""
-    if "purpose" in decl:
-        purpose = _as_str(decl["purpose"], f"{path}.purpose")
-    entries = _as_list(decl["nodes"], f"{path}.nodes")
+    decl = _open(decl, path, ("id", "nodes"), ("purpose",))
+    axid = _get(decl, "id", path, _as_str)
+    purpose = _get(decl, "purpose", path, _as_str, "")
+    entries = _get(decl, "nodes", path, _as_list)
     nodes: list[RepresentationNode] = []
     for i, entry in enumerate(entries):
         npath = f"{path}.nodes[{i}]"
-        entry = _as_obj(entry, npath)
-        _check_keys(
+        entry = _open(
             entry, npath, ("id", "kind"), ("information", "alphabet", "attributes")
         )
-        nid = _as_str(entry["id"], f"{npath}.id")
-        kind = _as_str(entry["kind"], f"{npath}.kind")
-        try:
-            kind = NodeKind(kind)
-        except ValueError:
-            _fail(
-                f"{npath}.kind",
-                f"unknown kind {kind!r} (expected data or visual)",
-            )
-        info = None
-        if "information" in entry:
-            info = _as_number(entry["information"], f"{npath}.information")
+        nid = _get(entry, "id", npath, _as_str)
+        kind = _choice(NodeKind, entry, "kind", npath, "kind", "data or visual")
+        info = _get(entry, "information", npath, _as_number)
         if "alphabet" in entry:
-            ref = _as_str(entry["alphabet"], f"{npath}.alphabet")
-            if ref not in alphabets:
-                _fail(f"{npath}.alphabet", f"unknown alphabet '{ref}'")
-            h = entropy(alphabets[ref])
+            alphabet = _ref(entry, "alphabet", npath, alphabets, "alphabet")
+            h = entropy(alphabet)
             if info is None:
                 info = h
             elif abs(info - h) > NODE_INFORMATION_TOLERANCE:
                 _fail(
                     f"{npath}.information",
-                    f"{info!r} disagrees with the entropy {h!r} of alphabet '{ref}'",
+                    f"{info!r} disagrees with the entropy {h!r} of alphabet '{alphabet.id}'",
                 )
         if info is None:
             _fail(npath, "needs 'information' or an 'alphabet' reference")
-        attributes: list[str] = []
-        if "attributes" in entry:
-            raw = _as_list(entry["attributes"], f"{npath}.attributes")
-            attributes = [
-                _as_str(tag, f"{npath}.attributes[{j}]") for j, tag in enumerate(raw)
-            ]
-        try:
+        raw = _get(entry, "attributes", npath, _as_list, [])
+        attributes = [_as_str(tag, f"{npath}.attributes[{j}]") for j, tag in enumerate(raw)]
+        with _at(npath):
             nodes.append(
                 RepresentationNode(
                     id=nid,
@@ -506,12 +457,8 @@ def _build_axis(decl: Any, path: str, alphabets: dict[str, Alphabet]) -> Abstrac
                     alphabet=entry.get("alphabet"),
                 )
             )
-        except ValueError as e:
-            _fail(npath, str(e))
-    try:
+    with _at(path):
         return AbstractionAxis(id=axid, nodes=tuple(nodes), purpose=purpose)
-    except ValueError as e:
-        _fail(path, str(e))
 
 
 def parse_scenario(data: Mapping, name: str = "scenario") -> Scenario:
@@ -534,41 +481,27 @@ def _parse_owned(data: Mapping, name: str) -> Scenario:
         if key not in _TOP_KEYS:
             _fail(f"$.{key}", "unknown top-level key")
 
-    meta: dict = {}
-    if "meta" in data:
-        meta = _as_obj(data["meta"], "meta")
-        _check_keys(meta, "meta", (), ("id", "title", "point_of_view"))
-        if "id" in meta:
-            _as_str(meta["id"], "meta.id")
-        if "title" in meta:
-            _as_str(meta["title"], "meta.title")
-        if "point_of_view" in meta:
-            _build_point_of_view(meta["point_of_view"], "meta.point_of_view")
+    meta = _open(data.get("meta", {}), "meta", (), ("id", "title", "point_of_view"))
+    _get(meta, "id", "meta", _as_str)
+    _get(meta, "title", "meta", _as_str)
+    _get(meta, "point_of_view", "meta", _build_point_of_view)
 
-    def section(key: str, noun: str, build) -> dict:
+    def section(key: str, noun: str, build, *tables: dict) -> dict:
         built_by_id: dict = {}
         for i, decl in enumerate(_as_list(data.get(key, []), key)):
-            built = build(decl, f"{key}[{i}]")
+            built = build(decl, f"{key}[{i}]", *tables)
             if built.id in built_by_id:
                 _fail(f"{key}[{i}].id", f"duplicate {noun} id '{built.id}'")
             built_by_id[built.id] = built
         return built_by_id
 
     alphabets = section("alphabets", "alphabet", _build_alphabet)
-    channels = section(
-        "channels", "channel", lambda d, path: _build_channel(d, path, alphabets)
-    )
-    stages = section("stages", "stage", lambda d, path: _build_stage(d, path, channels))
-    pipelines = section(
-        "pipelines", "pipeline", lambda d, path: _build_pipeline(d, path, stages)
-    )
-    direct_routes = section(
-        "direct_routes",
-        "route",
-        lambda d, path: _build_route(d, path, stages, pipelines),
-    )
+    channels = section("channels", "channel", _build_channel, alphabets)
+    stages = section("stages", "stage", _build_stage, channels)
+    pipelines = section("pipelines", "pipeline", _build_pipeline, stages)
+    direct_routes = section("direct_routes", "route", _build_route, stages, pipelines)
     judgments = section("judgments", "judgment", _build_judgment)
-    axes = section("axes", "axis", lambda d, path: _build_axis(d, path, alphabets))
+    axes = section("axes", "axis", _build_axis, alphabets)
 
     scenario_id = meta.get("id", name)
     return Scenario(

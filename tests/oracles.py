@@ -8,11 +8,6 @@ math.fsum only; nothing is shared with the package under test.
 import math
 
 
-def det_rows(image):
-    """Deterministic map {x: y} as stochastic rows {x: {y: 1.0}}."""
-    return {x: {y: 1.0} for x, y in image.items()}
-
-
 def push(prior, rows):
     out = {}
     for x, px in prior.items():

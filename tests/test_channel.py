@@ -14,7 +14,6 @@ from absmeter import (
     Pmf,
     alphabet_compression,
     bayes_inverse,
-    compose,
     entropy,
     kl_divergence,
     loads_scenario,
@@ -206,85 +205,6 @@ class TestPushForward:
             push_forward(b.pmf, ch)
 
 
-class TestCompose:
-    def test_identity_identity(self):
-        a = uniform(4, "a")
-        c = compose(identity(a), identity(a))
-        assert c.is_deterministic
-        assert [c.image_of(x) for x in a.letter_ids] == list(a.letter_ids)
-
-    def test_quantizer_after_identity_is_quantizer(self):
-        src = make_quantized_range(0, 100, 1, id="vals")
-        dst = uniform(11, "px")
-        q = Channel.quantizer("q", src, dst, pixels=11)
-        c = compose(identity(src), q)
-        assert c.is_deterministic
-        assert [c.image_of(x) for x in src.letter_ids] == [
-            q.image_of(x) for x in src.letter_ids
-        ]
-
-    def test_deterministic_pair_stays_deterministic(self):
-        rng = np.random.default_rng(3)
-        a, b, c = uniform(5, "a"), uniform(4, "b"), uniform(3, "c")
-        f, fi = builders.random_deterministic(rng, a, b)
-        g, gi = builders.random_deterministic(rng, b, c)
-        h = compose(f, g)
-        assert h.is_deterministic
-        for x in a.letter_ids:
-            assert h.image_of(x) == gi[fi[x]]
-
-    def test_matches_oracle_for_every_kind_pairing(self):
-        rng = np.random.default_rng(41)
-        for kind1 in ("det", "stoch"):
-            for kind2 in ("det", "stoch"):
-                for trial in range(25):
-                    a = builders.random_alphabet(rng, int(rng.integers(2, 9)), "a")
-                    b = builders.random_alphabet(rng, int(rng.integers(2, 9)), "b")
-                    c = builders.random_alphabet(rng, int(rng.integers(2, 9)), "c")
-                    make1 = (
-                        builders.random_deterministic
-                        if kind1 == "det"
-                        else builders.random_stochastic
-                    )
-                    make2 = (
-                        builders.random_deterministic
-                        if kind2 == "det"
-                        else builders.random_stochastic
-                    )
-                    f, r1 = make1(rng, a, b, "f")
-                    g, r2 = make2(rng, b, c, "g")
-                    if kind1 == "det":
-                        r1 = oracles.det_rows(r1)
-                    if kind2 == "det":
-                        r2 = oracles.det_rows(r2)
-                    got = rows_of(compose(f, g))
-                    want = oracles.compose_rows(r1, r2)
-                    for x in a.letter_ids:
-                        assert oracles.close(got[x], want[x])
-
-    def test_agrees_with_two_step_push(self):
-        rng = np.random.default_rng(99)
-        for trial in range(50):
-            a = builders.random_alphabet(rng, int(rng.integers(2, 9)), "a")
-            b = builders.random_alphabet(rng, int(rng.integers(2, 9)), "b")
-            c = builders.random_alphabet(rng, int(rng.integers(2, 9)), "c")
-            f, _ = builders.random_channel(rng, a, b, "f")
-            g, _ = builders.random_channel(rng, b, c, "g")
-            prior, _ = builders.random_prior(rng, a)
-            direct = push_forward(prior, compose(f, g))
-            stepped = push_forward(push_forward(prior, f), g)
-            assert np.allclose(
-                direct.aligned_to(c.letter_ids),
-                stepped.aligned_to(c.letter_ids),
-                atol=1e-12,
-            )
-
-    def test_rejects_broken_chain(self):
-        a, b = uniform(2, "a"), uniform(3, "b")
-        with pytest.raises(ValueError, match="do not share letters"):
-            compose(identity(a), identity(b))
-
-
 class TestQuantizer:
     def test_barchart_bin_occupancy(self):
         readings = make_quantized_range(0.0, 10000.0, 0.01, id="readings")
@@ -380,20 +300,6 @@ class TestBayesInverse:
         assert n * n > MAX_DERIVED_NONZEROS
         with pytest.raises(ValueError, match="conditional entries"):
             bayes_inverse(ch, big.pmf)
-        # 20,000 sources onto one letter, then that letter onto 4096
-        wide = uniform(20_000, "w")
-        one = uniform(1, "o")
-        fan = uniform(MAX_STOCHASTIC_LETTERS, "f")
-        to_one = Channel.deterministic(
-            "to-one", wide, one, {x: "o0" for x in wide.letter_ids}
-        )
-        share = 1 / MAX_STOCHASTIC_LETTERS
-        spread = Channel.stochastic(
-            "spread", one, fan, {"o0": {y: share for y in fan.letter_ids}}
-        )
-        assert 20_000 * MAX_STOCHASTIC_LETTERS > MAX_DERIVED_NONZEROS
-        with pytest.raises(ValueError, match="conditional entries"):
-            compose(to_one, spread)
 
 
 def reference_distortion(prior, c):
@@ -422,9 +328,9 @@ class TestReconstruction:
             dst = builders.random_alphabet(rng, int(rng.integers(1, 49)), "t")
             if trial % 3 == 2:
                 mid = builders.random_alphabet(rng, int(rng.integers(1, 49)), "m")
-                first, _ = builders.random_channel(rng, src, mid)
-                second, _ = builders.random_channel(rng, mid, dst)
-                ch = compose(first, second)
+                _, first = builders.random_channel(rng, src, mid)
+                _, second = builders.random_channel(rng, mid, dst)
+                ch = Channel.stochastic("c", src, dst, oracles.compose_rows(first, second))
             else:
                 ch, _ = builders.random_channel(rng, src, dst)
             prior, _ = builders.random_prior(rng, src, allow_zeros=trial % 2 == 0)

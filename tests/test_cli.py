@@ -436,19 +436,21 @@ class TestValidate:
         assert result.stderr.startswith(b"error: $: not valid UTF-8: ")
 
     @pytest.mark.skipif(
-        not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB"
+        not sys.platform.startswith("linux"), reason="reads VmHWM from /proc"
     )
     def test_largest_uniform_count_stays_small(self, tmp_path):
-        # 2^21 string ids and no per-letter objects
+        # 2^21 string ids and no per-letter objects. The child reads its own
+        # VmHWM: its ru_maxrss starts at the forking parent's resident set.
         target = tmp_path / "big.json"
         target.write_text(
             json.dumps({"alphabets": [{"id": "big", "uniform_count": 2**21}]}),
             encoding="utf-8",
         )
         probe = (
-            "import resource, sys; from absmeter.cli import main; "
+            "import re, sys; from absmeter.cli import main; "
             "code = main(['validate', sys.argv[1]]); "
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024); "
+            "status = open('/proc/self/status').read(); "
+            r"print(int(re.search(r'VmHWM:\s*(\d+) kB', status)[1]) // 1024); "
             "sys.exit(code)"
         )
         result = subprocess.run(

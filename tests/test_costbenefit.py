@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import builders
+import oracles
 from builders import identity, uniform
 from absmeter import (
     AbstractionJudgment,
@@ -17,7 +18,6 @@ from absmeter import (
     TaskTarget,
     abstraction_score,
     compare_routes,
-    compose,
     pipeline_cost_benefit,
     stage_cost_benefit,
 )
@@ -320,7 +320,9 @@ class TestCompareRoutes:
 
     def test_identical_routes_produce_no_strict_winner(self, route_setup):
         readings, charts, verdicts, pipeline, direct = route_setup
-        fused = compose(pipeline.stages[0].forward, pipeline.stages[1].forward)
+        hops = [stage.forward for stage in pipeline.stages]
+        rows = [{x: c.row(x) for x in c.source.letter_ids} for c in hops]
+        fused = Channel.stochastic("fused", readings, verdicts, oracles.compose_rows(*rows))
         same = Stage(fused, cost=5.0, id="fused")
         tied = Pipeline(
             "tied-hops",
