@@ -29,8 +29,11 @@ are, marked read-only, without a copy. A marginal is added up by
 `np.add.at` into zeros, in entry order; it copies no input, so a zero-stride
 prior or ``vals`` stays 8 bytes; over a constant joint (a uniform prior
 through a deterministic channel) it and the Bayes round trip work per
-target, with the same bits. The round trip takes its potential distortion
-block by block from the reconstruction it never stores.
+target, from the channel's ``counts`` of entries per target, with the same
+bits. A quantizer with more letters than pixels fills ``counts`` in as it is
+built, from the ends of the runs of its image, which never decreases; any
+other channel counts its ``cols`` on first read. The round trip takes its
+potential distortion block by block from the reconstruction it never stores.
 
 Measures:
 
@@ -127,10 +130,12 @@ class Channel:
     module docstring; the constructor trusts them to be sorted and every
     source to have at least one entry. With one entry per source (``len(cols)
     == source.n_letters``) ``rows`` may be given as None: the entries are then
-    the sources in order, and ``rows`` is built on first read.
+    the sources in order, and ``rows`` is built on first read. ``counts``,
+    the number of entries of each target, is counted from ``cols`` on first
+    read unless the constructor that built the channel knew it.
     """
 
-    __slots__ = ("id", "source", "target", "_rows", "cols", "vals")
+    __slots__ = ("id", "source", "target", "_rows", "cols", "vals", "_counts")
 
     def __init__(
         self,
@@ -147,6 +152,7 @@ class Channel:
         self._rows = rows
         self.cols = cols
         self.vals = vals
+        self._counts: np.ndarray | None = None
 
     @property
     def rows(self) -> np.ndarray:
@@ -155,6 +161,13 @@ class Channel:
             self._rows = np.arange(len(self.cols), dtype=np.intp)
         return self._rows
 
+    @property
+    def counts(self) -> np.ndarray:
+        """Number of entries of each target."""
+        if self._counts is None:
+            self._counts = np.bincount(self.cols, None, self.target.n_letters)
+        return self._counts
+
     # ---- constructors -------------------------------------------------
 
     @classmethod
@@ -162,6 +175,21 @@ class Channel:
         cls, id: str, source: Alphabet, target: Alphabet, targets: np.ndarray
     ) -> Channel:
         return cls(id, source, target, None, targets, _constant(1.0, len(targets)))
+
+    @classmethod
+    def _from_levels(
+        cls, id: str, source: Alphabet, target: Alphabet, levels: np.ndarray
+    ) -> Channel:
+        """Deterministic channel onto the non-decreasing target positions
+        ``levels``. Each target's entries are one run, so where there are
+        more entries than targets its count is the distance between the
+        run's ends, found by `np.searchsorted` in about log2(n) steps per
+        target; fewer entries are cheaper to count on first read."""
+        c = cls._from_targets(id, source, target, levels)
+        if len(levels) > target.n_letters:
+            ends = levels.searchsorted(np.arange(target.n_letters + 1))
+            c._counts = ends[1:] - ends[:-1]
+        return c
 
     @classmethod
     def _from_map(
@@ -256,7 +284,7 @@ class Channel:
         n = source.n_letters
         lo, hi = _grid_values(grid, np.array([0.0, n - 1.0])).tolist()
         if pixels == 1 or hi == lo:
-            return cls._from_targets(id, source, target, np.zeros(n, dtype=np.intp))
+            return cls._from_levels(id, source, target, np.zeros(n, dtype=np.intp))
         scale = (pixels - 1) / (hi - lo)
 
         def level(k: np.ndarray) -> np.ndarray:
@@ -283,7 +311,7 @@ class Channel:
             inside = (changed[:, None] + np.arange(1, stride)).ravel()
             inside = inside[inside < n - 1]
             image[inside] = level(inside)
-        return cls._from_targets(id, source, target, image)
+        return cls._from_levels(id, source, target, image)
 
     @classmethod
     def stochastic(
@@ -363,28 +391,32 @@ def _joint(pvec: np.ndarray, c: Channel) -> np.ndarray:
 
 def _marginal(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     """Read-only sums of ``weights`` by ``index``, added in entry order from
-    0.0, as `np.bincount` adds them but without its copy of the weights,
-    or by count (`_tally`) when they are one zero-stride value."""
-    if weights.strides == (0,):
-        return _tally(index, weights[0], n)[2]
+    0.0, as `np.bincount` adds them but without its copy of the weights."""
     out = np.zeros(n)
     np.add.at(out, index, weights)
     out.flags.writeable = False
     return out
 
 
-def _tally(index: np.ndarray, w: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Entries per index, the sums 0, w, w + w, ... up to the most entries,
-    added left to right as `np.add.at` adds into zeros, and the read-only
-    sums of ``w`` by ``index`` they give."""
-    counts = np.bincount(index, None, n)
+def _pushed(joint: np.ndarray, c: Channel) -> np.ndarray:
+    """Read-only marginal of the entry masses ``joint`` on the targets of
+    ``c``; a zero-stride ``joint`` is one mass per entry, added up by count."""
+    if joint.strides == (0,):
+        return _tally(c.counts, joint[0])[1]
+    return _marginal(c.cols, joint, c.target.n_letters)
+
+
+def _tally(counts: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray]:
+    """The sums 0, w, w + w, ... up to the most of ``counts``, added left to
+    right as `np.add.at` adds into zeros, and the read-only sum of ``counts[i]``
+    entries of ``w`` for each i they give."""
     sums = np.empty(counts.max() + 1)
     sums.fill(w)
     sums[0] = 0.0
     sums = np.add.accumulate(sums)
     out = sums.take(counts)
     out.flags.writeable = False
-    return counts, sums, out
+    return sums, out
 
 
 def push_forward(prior: Pmf, c: Channel) -> Pmf:
@@ -394,8 +426,7 @@ def push_forward(prior: Pmf, c: Channel) -> Pmf:
     """
     prior.require_valid()
     pvec = prior.aligned_to(c.source.letter_ids)
-    out = _marginal(c.cols, _joint(pvec, c), c.target.n_letters)
-    return Pmf.from_vector(c.target.letter_ids, out)
+    return Pmf.from_vector(c.target.letter_ids, _pushed(_joint(pvec, c), c))
 
 
 def bayes_inverse(c: Channel, prior: Pmf) -> Channel:
@@ -408,7 +439,7 @@ def bayes_inverse(c: Channel, prior: Pmf) -> Channel:
     prior.require_valid()
     pvec = prior.aligned_to(c.source.letter_ids)
     joint = _joint(pvec, c)
-    marginal = _marginal(c.cols, joint, c.target.n_letters)
+    marginal = _pushed(joint, c)
     reach = marginal > 0.0
     keep = reach[c.cols]
     reached = c.cols[keep]
@@ -454,9 +485,10 @@ def _bayes_round_trip(prior: Pmf, c: Channel) -> tuple[Pmf, float]:
     pvec = prior.aligned_to(c.source.letter_ids)
     joint = _joint(pvec, c)
     n = len(pvec)
-    constant = len(c.cols) == n and joint.strides == (0,)
+    constant = joint.strides == (0,)
     if constant:
-        counts, sums, marginal = _tally(c.cols, joint[0], c.target.n_letters)
+        counts = c.counts
+        sums, marginal = _tally(counts, joint[0])
     else:
         marginal = _marginal(c.cols, joint, c.target.n_letters)
     m = np.empty(min(len(joint), _BLOCK))

@@ -10,6 +10,12 @@ validated structure.
 One helper states each check: `_open` (object and keys), `_get` (typed
 field), `_ref` (reference by id), `_one_of`, `_choice` (enum value) and `_at`
 (a constructor's ValueError at a path); the `_build_*` functions combine them.
+`_by_position` resolves the keys of a JSON object that name letters (map
+keys, row keys, row entries, prior keys) and checks its values in bulk, with
+`map`, `set` and `dict.get` over whole objects: `_positions` places the
+keys, and `_numbers`, `_objects` or `_letters` checks the values. Values
+that fail the bulk check are checked one at a time, by `_as_number` or
+`_as_obj`, to report the first bad one in its words.
 """
 
 from __future__ import annotations
@@ -17,7 +23,10 @@ from __future__ import annotations
 import copy
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
+from operator import add
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -171,38 +180,126 @@ class _at:
             _fail(self.path, str(error))
 
 
-def _letter_position(alphabet: Alphabet, key: Any, path: str) -> int:
-    # JSON object keys are strings even when an alphabet uses integer ids
-    if isinstance(key, (str, int)) and not isinstance(key, bool):
-        position = alphabet.pmf.position
-        k = position(key)
-        if k is None:
-            try:
-                k = position(int(key) if isinstance(key, str) else str(key))
-            except ValueError:
-                pass
-        if k is not None:
-            return k
-    _fail(path, f"{key!r} is not a letter of alphabet '{alphabet.id}'")
+def _integer(key: Any) -> int | None:
+    """``int(key)``, or None where ``int`` refuses ``key``."""
+    try:
+        return int(key)
+    except (TypeError, ValueError):
+        return None
 
 
-def _by_position(alphabet: Alphabet, raw: dict, path: str, value_of) -> tuple[list, list]:
-    """Positions in ``alphabet`` of the keys of a JSON object, and
-    ``value_of(value, path)`` of its values, in the object's order. Two keys
-    naming one letter fail at the later one. An entry's own path,
-    ``path[key]``, is formatted only when that entry fails."""
-    seen: dict = {}  # position: key, in the object's order
-    values = []
-    for key, value in raw.items():
+def _not_a_letter(key: Any, alphabet: Alphabet) -> str:
+    return f"{key!r} is not a letter of alphabet '{alphabet.id}'"
+
+
+def _positions(alphabet: Alphabet, keys: list) -> list:
+    """Position in ``alphabet`` of the letter each of ``keys`` names, or None.
+
+    A string or integer key names a letter by its id or, as JSON object keys
+    are strings even where an alphabet uses integer ids, by ``int`` of a
+    string key or ``str`` of an integer one. A grid's ids are the integers of
+    a range, so its keys are placed by arithmetic on their ``int``.
+    """
+    if set(map(type, keys)) - {str, int}:
+        keys = [
+            key if isinstance(key, (str, int)) and not isinstance(key, bool) else None
+            for key in keys
+        ]
+    ids = alphabet.letter_ids
+    if isinstance(ids, range):
         try:
-            k = _letter_position(alphabet, key, path)
-            if k in seen:
-                _fail(path, f"{key!r} names the same letter as {seen[k]!r}")
-            seen[k] = key
-            values.append(value_of(value, path))
-        except ScenarioError as e:
-            raise ScenarioError(f"{path}[{key!r}]", e.message) from None
-    return list(seen), values
+            return list(map(ids.index, map(int, keys)))
+        except (TypeError, ValueError):  # some key names no letter
+            numbers = map(_integer, keys)
+            return [None if k is None or k not in ids else ids.index(k) for k in numbers]
+    get = alphabet.pmf._ensure_index().get
+    found = list(map(get, keys))
+    if None in found:
+        found = [
+            get(str(key) if isinstance(key, int) else _integer(key)) if k is None else k
+            for k, key in zip(found, keys)
+        ]
+    return found
+
+
+def _numbers(values: list, where: Callable[[int], str]) -> list:
+    """``values`` as floats; the first that is not a finite number fails at
+    ``where(i)``."""
+    if set(map(type, values)) <= {int, float}:
+        try:
+            numbers = list(map(float, values))
+        except OverflowError:  # an integer beyond float range
+            numbers = [math.inf]
+        if all(map(math.isfinite, numbers)):
+            return numbers
+    return [_as_number(value, where(i)) for i, value in enumerate(values)]
+
+
+def _objects(values: list, where: Callable[[int], str]) -> list:
+    """``values``; the first that is not an object fails at ``where(i)``."""
+    if set(map(type, values)) <= {dict}:
+        return values
+    return [_as_obj(value, where(i)) for i, value in enumerate(values)]
+
+
+def _letters(alphabet: Alphabet) -> Callable[[list, Callable[[int], str]], list]:
+    """``value_of`` for `_by_position` giving the positions in ``alphabet``
+    of the letters that values name."""
+
+    def positions(values: list, where: Callable[[int], str]) -> list:
+        found = _positions(alphabet, values)
+        if None in found:
+            i = found.index(None)
+            _fail(where(i), _not_a_letter(values[i], alphabet))
+        return found
+
+    return positions
+
+
+def _by_position(
+    alphabet: Alphabet, raw: dict, path: str, value_of: Callable, nested: bool = False
+) -> tuple[list, list]:
+    """Positions in ``alphabet`` of the keys of the JSON object ``raw``, and
+    ``value_of(values, where)`` of its values, in the object's order; with
+    ``nested``, of the entries of ``raw``'s values (objects), one after
+    another. Two keys of one object that name one letter fail at the later
+    one. The first failing entry fails at its path, ``path[key]`` (nested,
+    ``path[row][key]``), a key's fault before its value's; ``value_of``
+    reports a value's at ``where(i)``, which formats the path of entry i."""
+    if nested:
+        objects = list(raw.values())
+        keys = list(chain.from_iterable(objects))
+        values = list(chain.from_iterable(map(dict.values, objects)))
+    else:
+        keys, values = list(raw), list(raw.values())
+    found = _positions(alphabet, keys)
+    stop = found.index(None) if None in found else len(found)
+    letters = found[:stop]
+    if nested:
+        # an entry of object r at position k counts as letter r * n + k, so
+        # only keys of one object can repeat a letter
+        n = alphabet.n_letters
+        sizes = list(map(len, objects))
+        offsets = chain.from_iterable(map(repeat, range(0, n * len(sizes), n), sizes))
+        letters = list(map(add, letters, offsets))
+    if len(set(letters)) < stop:
+        first = dict(zip(reversed(letters), range(stop - 1, -1, -1)))
+        stop = next(i for i, letter in enumerate(letters) if first[letter] != i)
+        repeated = keys[first[letters[stop]]]
+
+    def where(i: int) -> str:
+        if not nested:
+            return f"{path}[{keys[i]!r}]"
+        r = bisect_right(list(accumulate(sizes)), i)
+        return f"{path}[{list(raw)[r]!r}][{keys[i]!r}]"
+
+    converted = value_of(values if stop == len(values) else values[:stop], where)
+    if stop < len(keys):
+        key = keys[stop]
+        if found[stop] is None:
+            _fail(where(stop), _not_a_letter(key, alphabet))
+        _fail(where(stop), f"{key!r} names the same letter as {repeated!r}")
+    return found, converted
 
 
 @dataclass
@@ -303,24 +400,18 @@ def _build_channel(decl: Any, path: str, alphabets: dict[str, Alphabet]) -> Chan
                 return Channel.quantizer(cid, source, target, pixels)
         mpath = f"{dpath}.map"
         raw_map = _get(spec, "map", dpath, _as_obj)
-        sources, images = _by_position(
-            source, raw_map, mpath, lambda v, p: _letter_position(target, v, p)
-        )
+        sources, images = _by_position(source, raw_map, mpath, _letters(target))
         with _at(mpath):
             return Channel._from_map(cid, source, target, sources, images)
     spath = f"{path}.stochastic"
     rpath = f"{spath}.rows"
     spec = _open(decl["stochastic"], spath, ("rows",))
     raw_rows = _get(spec, "rows", spath, _as_obj)
-    keys, rows = _by_position(source, raw_rows, rpath, _as_obj)
+    keys, rows = _by_position(source, raw_rows, rpath, _objects)
     sizes = [len(row) for row in rows]
     with _at(rpath):
         _require_declared_size(cid, "stochastic", source, target, sum(sizes))
-    cols, vals = [], []
-    for key, row in zip(raw_rows, rows):
-        row_cols, row_vals = _by_position(target, row, f"{rpath}[{key!r}]", _as_number)
-        cols += row_cols
-        vals += row_vals
+    cols, vals = _by_position(target, raw_rows, rpath, _numbers, nested=True)
     with _at(rpath):
         return Channel._from_rows(cid, source, target, keys, sizes, cols, vals)
 
@@ -353,7 +444,7 @@ def _build_pipeline(decl: Any, path: str, stages: dict[str, Stage]) -> Pipeline:
     if "prior" in decl:
         raw = _get(decl, "prior", path, _as_obj)
         first = resolved[0].forward.source
-        found, probs = _by_position(first, raw, f"{path}.prior", _as_number)
+        found, probs = _by_position(first, raw, f"{path}.prior", _numbers)
         if len(found) != first.n_letters:
             covers = f"covers {len(found)} of {first.n_letters} letters of '{first.id}'"
             _fail(f"{path}.prior", covers)

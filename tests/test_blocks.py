@@ -2,7 +2,8 @@
 
 Grid values, the one-entry-per-source Bayes round trip, entropy and the KL
 divergence work through long vectors one block at a time; a quantizer image
-is filled stride by stride from the levels at the stride ends. Each is
+is filled stride by stride from the levels at the stride ends, and its
+entries per target are measured from the runs of the image. Each is
 compared here with a whole-vector statement of what it computes, at lengths
 around the block boundary and at the barchart's 1,000,001 letters, with
 `np.array_equal` and equal sign bits. A sum's reference is the documented
@@ -20,15 +21,18 @@ from absmeter import (
     Alphabet,
     Channel,
     Pmf,
+    analyze,
     bayes_inverse,
     channel,
     entropy,
+    exemplar,
     kl_divergence,
+    loads_scenario,
     make_quantized_range,
     push_forward,
 )
 from absmeter.alphabet import _BLOCK, _constant
-from absmeter.channel import _bayes_round_trip, _marginal
+from absmeter.channel import _bayes_round_trip, _tally
 
 SIZES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7, 1_000_001]
 
@@ -85,6 +89,9 @@ def test_quantizer_image(n, lo, step, decimals, pixels):
         expected = np.floor(scaled).astype(np.intp)
     assert c.cols.dtype == np.intp
     assert np.array_equal(c.cols, expected)
+    # from the runs of the sorted image where n > pixels (both special
+    # branches too), on first read where n <= pixels and levels are skipped
+    assert np.array_equal(c.counts, np.bincount(expected, minlength=pixels))
     assert np.array_equal(c.rows, np.arange(n))
     # one entry per source: a read-only zero-stride view of 1.0
     assert c.vals.strides == (0,) and not c.vals.flags.writeable
@@ -110,6 +117,22 @@ def test_quantizer_level_evaluations(monkeypatch, n, pixels):
     levels = sum(evaluated[1:])
     # each letter once on a stride of 1, a fifth of the barchart's letters
     assert levels == n if n < 2 * pixels else levels <= 200_000
+
+
+def test_barchart_makes_no_long_bincount(monkeypatch):
+    # the quantizer counts its image's runs; only the 1,001-letter threshold
+    # map is counted by np.bincount
+    lengths = []
+    bincount = np.bincount
+
+    def counted(x, *args, **kwargs):
+        lengths.append(len(x))
+        return bincount(x, *args, **kwargs)
+
+    text = exemplar("barchart").to_json()
+    monkeypatch.setattr(np, "bincount", counted)
+    analyze(loads_scenario(text))
+    assert lengths and max(lengths) <= 2**16
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -249,6 +272,13 @@ def one_entry_per_source(n, kind):
 KINDS = ["quantizer-1", "quantizer-3", "quantizer-1001", "quantizer-40000", "map-sparse", "map-dense"]
 
 
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_counts(n, kind):
+    c = one_entry_per_source(n, kind)
+    assert same_bits(c.counts, np.bincount(c.cols, minlength=c.target.n_letters))
+
+
 @pytest.mark.parametrize("n", [101] + SIZES)
 def test_uniform_pmf_is_one_value(n):
     uniform = Alphabet("x", range(n)).pmf
@@ -313,6 +343,6 @@ def test_equal_weights_add_up_as_add_at_adds(w):
     index = rng.permutation(np.repeat(np.arange(100), rng.integers(0, 5000, size=100)))
     expected = np.zeros(103)
     np.add.at(expected, index, np.full(len(index), w))
-    got = _marginal(index, _constant(w, len(index)), 103)
+    got = _tally(np.bincount(index, None, 103), w)[1]
     assert same_bits(got, expected) or (np.isnan(w) and np.array_equal(got, expected, equal_nan=True))
     assert not got.flags.writeable

@@ -3,12 +3,14 @@
 import copy
 import json
 import math
+import random
 import tracemalloc
 
 import pytest
 
 from absmeter import (
     EXEMPLAR_NAMES,
+    Alphabet,
     OverlappingAttributesError,
     Pmf,
     ScenarioError,
@@ -21,10 +23,12 @@ from absmeter import (
     exemplar,
     load_scenario,
     loads_scenario,
+    make_quantized_range,
     parse_scenario,
 )
 from absmeter.channel import MAX_STOCHASTIC_ENTRIES
 from absmeter.cli import main
+from absmeter.scenario import _as_number, _as_obj, _by_position, _letters, _numbers, _objects
 
 
 def minimal() -> dict:
@@ -453,6 +457,128 @@ class TestDuplicateLetterKeys:
         data["channels"][0]["deterministic"]["map"] = {"0": "0", "+1": "0", "02": "1"}
         channel = parse(data).channels["f"]
         assert [channel.image_of(i) for i in range(3)] == ["0", "0", "1"]
+
+
+def named_position(ids, key):
+    """Position of the letter a JSON key names, entry by entry: its id, else
+    int of a string key or str of an integer one; None when it names none."""
+    if isinstance(key, bool) or not isinstance(key, (str, int)):
+        return None
+    ids = list(ids)
+    if key in ids:
+        return ids.index(key)
+    if isinstance(key, int):
+        other = str(key)
+    else:
+        try:
+            other = int(key)
+        except ValueError:
+            return None
+    return ids.index(other) if other in ids else None
+
+
+def entry_by_entry(alphabet, objects, value_check):
+    """The loader's rule for (path, object) pairs spelled out one entry at a
+    time: each entry in order, its key before its value, a key naming the
+    letter of an earlier key of its object failing. Returns the positions and
+    checked values, or the first failure's (path, message)."""
+    positions, values = [], []
+    for path, raw in objects:
+        seen = {}
+        for key, value in raw.items():
+            where = f"{path}[{key!r}]"
+            k = named_position(alphabet.letter_ids, key)
+            if k is None:
+                return where, f"{key!r} is not a letter of alphabet '{alphabet.id}'"
+            if k in seen:
+                return where, f"{key!r} names the same letter as {seen[k]!r}"
+            seen[k] = key
+            try:
+                values.append(value_check(value, where))
+            except ScenarioError as e:
+                return e.path, e.message
+            positions.append(k)
+    return positions, values
+
+
+def letter_check(alphabet):
+    def check(value, where):
+        k = named_position(alphabet.letter_ids, value)
+        if k is None:
+            raise ScenarioError(where, f"{value!r} is not a letter of alphabet '{alphabet.id}'")
+        return k
+
+    return check
+
+
+class TestBulkKeysAgreeEntryByEntry:
+    """Random objects over grid and explicit alphabets: `_by_position`
+    resolves keys and checks values in bulk, and must give what the entry by
+    entry rule gives, down to the first failure's path and message."""
+
+    # each alphabet with keys that name its letters, some two of them one letter
+    ALPHABETS = [
+        (
+            make_quantized_range(0, 11, 1, id="grid"),
+            ["0", "1", "01", "+1", " 2", "2", "11", "1_1", "٣", "3", "10"],
+        ),
+        (Alphabet("counted", tuple(map(str, range(12)))), ["0", "1", "2", "3", "10", "11"]),
+        (
+            Alphabet("mixed", ("a", 1, "2", 30, "x y", -4)),
+            ["a", "1", "01", "2", "30", "030", "x y", "-4", "-04"],
+        ),
+    ]
+    # keys that name no letter of one alphabet or another
+    STRAYS = ["12", "", "abc", "1.0", " 3", "9" * 5000]
+    NUMBERS = [0.5, 1, 0, -0.0, 10**400, math.nan, math.inf, True, "0.5", None, [1]]
+    LETTERS = [0, 1, 11, 30, -4, "1", "01", "a", 12, "b", True, 1.0, None, [1], {"0": 1}]
+
+    def cases(self, seed):
+        rng = random.Random(seed)
+        alphabet, good = rng.choice(self.ALPHABETS)
+
+        def obj(values, faults):
+            keys = {
+                rng.choice(good if rng.random() > faults else self.STRAYS)
+                for _ in range(rng.randint(0, 8))
+            }
+            return {
+                key: rng.choice(values[4:] if rng.random() < faults else values[:4])
+                for key in rng.sample(sorted(keys), len(keys))
+            }
+
+        return rng, alphabet, obj
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_one_object(self, seed):
+        rng, alphabet, obj = self.cases(seed)
+        target = rng.choice(self.ALPHABETS)[0]
+        check, bulk, values = rng.choice(
+            [
+                (_as_number, _numbers, self.NUMBERS),
+                (_as_obj, _objects, [{}, {"x": 1}, {}, {"y": {}}, [], 0, None]),
+                (letter_check(target), _letters(target), self.LETTERS),
+            ]
+        )
+        raw = obj(values, 0.1)
+        expected = entry_by_entry(alphabet, [("p", raw)], check)
+        try:
+            got = _by_position(alphabet, raw, "p", bulk)
+        except ScenarioError as e:
+            got = (e.path, e.message)
+        assert got == expected
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_nested_rows(self, seed):
+        rng, alphabet, obj = self.cases(seed)
+        rows = {f"r{i}": obj(self.NUMBERS, 0.03) for i in range(rng.randint(1, 5))}
+        objects = [(f"p[{k!r}]", row) for k, row in rows.items()]
+        expected = entry_by_entry(alphabet, objects, _as_number)
+        try:
+            got = _by_position(alphabet, rows, "p", _numbers, nested=True)
+        except ScenarioError as e:
+            got = (e.path, e.message)
+        assert got == expected
 
 
 def full() -> dict:
