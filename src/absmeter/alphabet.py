@@ -90,6 +90,16 @@ def _constant_sum(term: np.ndarray, n: int) -> float:
     return total
 
 
+def _log2(
+    x: np.ndarray, out: np.ndarray | None = None, where: np.ndarray | bool = True
+) -> np.ndarray:
+    """``log2(x)`` into ``out`` where ``where`` holds. Every logarithm the
+    package takes is taken here."""
+    # out is passed by position: as a keyword it adds about a third to the
+    # cost of a call on a few letters
+    return np.log2(x, out, where=where)
+
+
 def _log_terms(
     q: np.ndarray, out: np.ndarray, positive: bool, log_p: np.ndarray | None = None
 ) -> np.ndarray:
@@ -101,9 +111,7 @@ def _log_terms(
     else:
         where = q > 0.0
         out.fill(0.0)
-    # out is passed by position: as a keyword it adds about a third to the
-    # cost of a call on a few letters
-    np.log2(q, out, where=where)
+    _log2(q, out, where)
     if log_p is not None:
         np.subtract(out, log_p, out, where=where)
     return np.multiply(out, q, out, where=where)
@@ -124,9 +132,12 @@ class Pmf:
 
     def __init__(self, probabilities: Mapping[LetterId, float]):
         ids = tuple(probabilities.keys())
-        vec = np.fromiter(probabilities.values(), dtype=np.float64, count=len(ids))
+        self._fill(ids, np.fromiter(probabilities.values(), dtype=np.float64, count=len(ids)))
+
+    def _fill(self, ids: Sequence[LetterId], vec: np.ndarray) -> None:
+        """Set every slot: ``ids`` and ``vec``, made read-only, unchecked."""
         vec.flags.writeable = False
-        self._ids: Sequence[LetterId] = ids
+        self._ids = ids
         self._vec = vec
         self._index: dict[LetterId, int] | None = None
         self._checked = False
@@ -150,13 +161,7 @@ class Pmf:
         vec = np.asarray(vector, dtype=np.float64)
         if vec.flags.writeable:
             vec = vec.copy()
-            vec.flags.writeable = False
-        self._ids = ids
-        self._vec = vec
-        self._index = None
-        self._checked = False
-        self._positive = False
-        self._entropy = None
+        self._fill(ids, vec)
         return self
 
     @property
@@ -439,11 +444,9 @@ def _divergence(
 
     def block(start: int, end: int) -> np.ndarray:
         qb, pb, lp = q_block(start, end), pv[start:end], log_p[: end - start]
-        if p_positive:
-            np.log2(pb, lp)
-        else:
+        if not p_positive:
             lp.fill(-math.inf)
-            np.log2(pb, lp, where=pb > 0.0)
+        _log2(pb, lp, p_positive or pb > 0.0)
         # log difference, not log of ratio: q/p can overflow when p is denormal
         positive = bool(np.minimum.reduce(qb) > 0.0) if q_positive is None else q_positive
         return _log_terms(qb, terms[: end - start], positive, lp)

@@ -25,14 +25,15 @@ Derived channels (Bayes inversions) may span alphabets far
 larger than the declared-channel limits; listing only the entries a channel
 can reach is what keeps the exact double summations tractable at that size.
 The pmfs the operations return take their freshly computed vectors as they
-are, marked read-only, without a copy. A marginal is added up by
-`np.add.at` into zeros, in entry order; it copies no input, so a zero-stride
-prior or ``vals`` stays 8 bytes; over a constant joint (a uniform prior
-through a deterministic channel) it and the Bayes round trip work per
-target, from the channel's ``counts`` of entries per target, with the same
-bits. A quantizer with more letters than pixels fills ``counts`` in as it is
-built, from the ends of the runs of its image, which never decreases; any
-other channel counts its ``cols`` on first read. The round trip takes its
+are, marked read-only, without a copy. One forward pass, `_forward`, serves
+`push_forward`, `bayes_inverse` and the Bayes round trip: its marginal is
+added up by `np.add.at` into zeros, in entry order, and copies no input, so
+a zero-stride prior or ``vals`` stays 8 bytes; over a constant joint (a
+uniform prior through a deterministic channel) the marginal and the round
+trip work per target, from the channel's ``counts``, with the same bits. A
+quantizer with more letters than pixels fills ``counts`` in as it is built,
+from the ends of the runs of its image, which never decreases; any other
+channel counts its ``cols`` on first read. The round trip takes its
 potential distortion block by block from the reconstruction it never stores.
 
 Measures:
@@ -58,6 +59,7 @@ from .alphabet import (
     Pmf,
     _constant,
     _divergence,
+    _log2,
     _log_terms,
     _ordered_sum,
     _grid_values,
@@ -91,10 +93,14 @@ def _same_letters(a: Alphabet, b: Alphabet) -> bool:
     return False
 
 
-def _require_same_letters(a: Alphabet, b: Alphabet, context: str) -> None:
-    if not _same_letters(a, b):
+def _require_oriented(forward: Channel, recon: Channel) -> None:
+    """Refuse ``recon`` unless it runs from ``forward``'s target back to its source."""
+    if not _same_letters(recon.source, forward.target) or not _same_letters(
+        recon.target, forward.source
+    ):
         raise ValueError(
-            f"{context}: alphabet '{a.id}' and alphabet '{b.id}' do not share letters"
+            f"reconstruction '{recon.id}' is not oriented from "
+            f"'{forward.target.id}' back to '{forward.source.id}'"
         )
 
 
@@ -378,15 +384,13 @@ def _require_derived_size(total: int) -> None:
 def _joint(pvec: np.ndarray, c: Channel) -> np.ndarray:
     """Joint mass ``pvec[c.rows] * c.vals`` of each entry of ``c``.
 
-    With one entry per source the entries are the sources in order, so the
-    gather drops out, and with ``vals`` the zero-stride view of 1.0 the joint
-    is ``pvec`` itself (x * 1.0 == x).
+    With one entry per source and ``vals`` the zero-stride view of 1.0, the
+    entries are the sources in order and the joint is ``pvec`` itself
+    (x * 1.0 == x).
     """
-    if len(c.cols) != c.source.n_letters:
-        return pvec[c.rows] * c.vals
-    if c.vals.strides == (0,) and c.vals[0] == 1.0:
+    if len(c.cols) == c.source.n_letters and c.vals.strides == (0,) and c.vals[0] == 1.0:
         return pvec
-    return pvec * c.vals
+    return pvec[c.rows] * c.vals
 
 
 def _marginal(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
@@ -396,14 +400,6 @@ def _marginal(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     np.add.at(out, index, weights)
     out.flags.writeable = False
     return out
-
-
-def _pushed(joint: np.ndarray, c: Channel) -> np.ndarray:
-    """Read-only marginal of the entry masses ``joint`` on the targets of
-    ``c``; a zero-stride ``joint`` is one mass per entry, added up by count."""
-    if joint.strides == (0,):
-        return _tally(c.counts, joint[0])[1]
-    return _marginal(c.cols, joint, c.target.n_letters)
 
 
 def _tally(counts: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray]:
@@ -419,14 +415,26 @@ def _tally(counts: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray]:
     return sums, out
 
 
+def _forward(prior: Pmf, c: Channel) -> tuple[np.ndarray, np.ndarray, Pmf, np.ndarray | None]:
+    """The forward pass of a valid ``prior`` through ``c``: the prior's vector
+    in source order, the joint mass of each entry, the pushed pmf and, for a
+    zero-stride joint, the running sums of `_tally` (else None)."""
+    prior.require_valid()
+    pvec = prior.aligned_to(c.source.letter_ids)
+    joint = _joint(pvec, c)
+    if joint.strides == (0,):
+        sums, marginal = _tally(c.counts, joint[0])
+    else:
+        sums, marginal = None, _marginal(c.cols, joint, c.target.n_letters)
+    return pvec, joint, Pmf.from_vector(c.target.letter_ids, marginal), sums
+
+
 def push_forward(prior: Pmf, c: Channel) -> Pmf:
     """Distribution induced on the target by sending ``prior`` through ``c``.
 
     Mass is conserved exactly up to float rounding.
     """
-    prior.require_valid()
-    pvec = prior.aligned_to(c.source.letter_ids)
-    return Pmf.from_vector(c.target.letter_ids, _pushed(_joint(pvec, c), c))
+    return _forward(prior, c)[2]
 
 
 def bayes_inverse(c: Channel, prior: Pmf) -> Channel:
@@ -436,11 +444,8 @@ def bayes_inverse(c: Channel, prior: Pmf) -> Channel:
     Target letters that receive no mass get the prior itself as their row,
     so the result is total over the target alphabet.
     """
-    prior.require_valid()
-    pvec = prior.aligned_to(c.source.letter_ids)
-    joint = _joint(pvec, c)
-    marginal = _pushed(joint, c)
-    reach = marginal > 0.0
+    pvec, joint, pushed, _ = _forward(prior, c)
+    reach = pushed.vec > 0.0
     keep = reach[c.cols]
     reached = c.cols[keep]
     support = np.flatnonzero(pvec > 0.0)
@@ -449,7 +454,7 @@ def bayes_inverse(c: Channel, prior: Pmf) -> Channel:
     rows = np.concatenate([reached, np.repeat(unreached, len(support))])
     cols = np.concatenate([c.rows[keep], np.tile(support, len(unreached))])
     vals = np.concatenate(
-        [joint[keep] / marginal[reached], np.tile(pvec[support], len(unreached))]
+        [joint[keep] / pushed.vec[reached], np.tile(pvec[support], len(unreached))]
     )
     # a stable sort by target keeps each target's sources ascending
     by_row = np.argsort(rows, kind="stable")
@@ -481,16 +486,9 @@ def _bayes_round_trip(prior: Pmf, c: Channel) -> tuple[Pmf, float]:
     `kl_divergence` makes of a reconstruction it is given: no negative
     mass, and a total within `MASS_TOLERANCE` of one.
     """
-    prior.require_valid()
-    pvec = prior.aligned_to(c.source.letter_ids)
-    joint = _joint(pvec, c)
+    pvec, joint, pushed, sums = _forward(prior, c)
     n = len(pvec)
-    constant = joint.strides == (0,)
-    if constant:
-        counts = c.counts
-        sums, marginal = _tally(counts, joint[0])
-    else:
-        marginal = _marginal(c.cols, joint, c.target.n_letters)
+    constant = sums is not None
     m = np.empty(min(len(joint), _BLOCK))
 
     def carried_back(start: int, out: np.ndarray) -> np.ndarray:
@@ -498,7 +496,7 @@ def _bayes_round_trip(prior: Pmf, c: Channel) -> tuple[Pmf, float]:
         # "raise" makes. Where m = 0 the division is skipped, and what out
         # held, finite, times 0 is 0.
         cols = c.cols[start : start + len(out)]
-        mb = marginal.take(cols, None, m[: len(cols)], "clip")
+        mb = pushed.vec.take(cols, None, m[: len(cols)], "clip")
         np.divide(joint[start : start + len(out)], mb, out, where=mb > 0.0)
         return np.multiply(out, mb, out)
 
@@ -510,8 +508,8 @@ def _bayes_round_trip(prior: Pmf, c: Channel) -> tuple[Pmf, float]:
         g = np.zeros(len(sums))
         np.divide(joint[:1], sums, g, where=sums > 0.0)
         np.multiply(g, sums, g)
-        t = _log_terms(g, np.empty(len(g)), False, np.log2(joint[:1])).take(counts)
-        g = g.take(counts)
+        t = _log_terms(g, np.empty(len(g)), False, _log2(joint[:1])).take(c.counts)
+        g = g.take(c.counts)
 
         def q_block(start: int, end: int) -> np.ndarray:
             return g.take(c.cols[start:end], None, buffer[: end - start], "clip")
@@ -534,10 +532,9 @@ def _bayes_round_trip(prior: Pmf, c: Channel) -> tuple[Pmf, float]:
         def q_block(start: int, end: int) -> np.ndarray:
             return q[start:end]
 
-    out = Pmf.from_vector(c.target.letter_ids, marginal)
     # checked before the reconstruction: when the pushed pmf is not a pmf,
     # that is the first fault to report
-    out.require_valid()
+    pushed.require_valid()
     mass, signed = 0.0, True
 
     def checked(start: int, end: int) -> np.ndarray:
@@ -554,7 +551,7 @@ def _bayes_round_trip(prior: Pmf, c: Channel) -> tuple[Pmf, float]:
         # gathered whole only to be refused in require_valid's words
         whole = [q_block(s, min(s + _BLOCK, n)).copy() for s in range(0, n, _BLOCK)]
         Pmf.from_vector(c.source.letter_ids, np.concatenate(whole)).require_valid()
-    return out, pd
+    return pushed, pd
 
 
 def reconstructed_pmf(prior: Pmf, forward: Channel, recon: Channel) -> Pmf:
@@ -565,11 +562,16 @@ def reconstructed_pmf(prior: Pmf, forward: Channel, recon: Channel) -> Pmf:
 
     defined over the forward channel's source letters.
     """
-    _require_same_letters(forward.target, recon.source, "reconstruction")
-    _require_same_letters(forward.source, recon.target, "reconstruction")
+    _require_oriented(forward, recon)
+    return _round_trip(prior, forward, recon)[1]
+
+
+def _round_trip(prior: Pmf, forward: Channel, recon: Channel) -> tuple[Pmf, Pmf]:
+    """``push_forward(prior, forward)`` and `reconstructed_pmf` of an
+    oriented ``recon``, from one forward pass."""
     observed = push_forward(prior, forward)
     back = push_forward(observed, recon)
-    return Pmf.from_vector(forward.source.letter_ids, back.vec)
+    return observed, Pmf.from_vector(forward.source.letter_ids, back.vec)
 
 
 def alphabet_compression(prior: Pmf, c: Channel) -> float:

@@ -11,13 +11,15 @@ distribution induced by everything before it, and its combined ratio is
 which telescopes to (H(first) - H(last) - sum_i PD_i) / sum_i cost_i.
 
 `compare_routes` puts a multi-stage pipeline side by side with a single
-direct stage over the same endpoints and reports whether the premises that
+direct stage over the same endpoints (the scenario loader refuses other
+routes in the same words) and reports whether the premises that
 favor the pipeline (higher direct cost, higher direct distortion, additive
 compression) actually hold before comparing the two ratios.
 
 A stage evaluation computes the output distribution and, for a Bayes
 stage, the potential distortion from one pass over the forward channel's
-entries, without storing the reconstructed distribution. The three public
+entries, without storing the reconstructed distribution; an explicit
+reconstruction takes `reconstructed_pmf`'s round trip. The three public
 evaluators each start from nothing; `analyze` shares one `_Evaluator`
 across its sections, so each (stage, input distribution) pair it meets is
 evaluated once.
@@ -38,8 +40,9 @@ from enum import Enum
 from .alphabet import Pmf, entropy, kl_divergence
 from .channel import (
     Channel,
-    push_forward,
     _bayes_round_trip,
+    _require_oriented,
+    _round_trip,
     _same_letters,
 )
 
@@ -143,13 +146,7 @@ class Stage:
             return
         if not isinstance(recon, Channel):
             raise ValueError("recon must be a channel or the 'bayes' marker")
-        if not _same_letters(recon.source, self.forward.target) or not _same_letters(
-            recon.target, self.forward.source
-        ):
-            raise ValueError(
-                f"reconstruction '{recon.id}' is not oriented from "
-                f"'{self.forward.target.id}' back to '{self.forward.source.id}'"
-            )
+        _require_oriented(self.forward, recon)
 
 
 @dataclass(frozen=True)
@@ -181,6 +178,19 @@ class Pipeline:
         if self.prior is not None:
             return self.prior
         return self.stages[0].forward.source.pmf
+
+
+def _require_same_ends(pipeline: Pipeline, direct: Stage) -> None:
+    """Refuse a ``direct`` stage that does not start and end where ``pipeline`` does."""
+    for verb, ours, theirs in (
+        ("starts from", direct.forward.source, pipeline.stages[0].forward.source),
+        ("ends in", direct.forward.target, pipeline.stages[-1].forward.target),
+    ):
+        if not _same_letters(theirs, ours):
+            raise ValueError(
+                f"stage '{direct.id}' {verb} '{ours.id}' but pipeline "
+                f"'{pipeline.id}' {verb} '{theirs.id}'"
+            )
 
 
 @dataclass(frozen=True)
@@ -249,8 +259,8 @@ def _evaluate(stage: Stage, prior: Pmf) -> tuple[StageMetrics, Pmf]:
     if isinstance(stage.recon, str):
         out, pd = _bayes_round_trip(prior, stage.forward)
     else:
-        out = push_forward(prior, stage.forward)
-        pd = kl_divergence(push_forward(out, stage.recon), prior)
+        out, back = _round_trip(prior, stage.forward, stage.recon)
+        pd = kl_divergence(back, prior)
     h_out = entropy(out)
     ac = h_in - h_out
     benefit = ac - pd
@@ -330,18 +340,7 @@ class _Evaluator:
         )
 
     def route(self, via_stages: Pipeline, direct: Stage) -> RouteComparison:
-        first = via_stages.stages[0].forward.source
-        last = via_stages.stages[-1].forward.target
-        if not _same_letters(first, direct.forward.source):
-            raise ValueError(
-                f"route comparison: pipeline starts from '{first.id}' but the direct "
-                f"stage starts from '{direct.forward.source.id}'"
-            )
-        if not _same_letters(last, direct.forward.target):
-            raise ValueError(
-                f"route comparison: pipeline ends in '{last.id}' but the direct "
-                f"stage ends in '{direct.forward.target.id}'"
-            )
+        _require_same_ends(via_stages, direct)
         prior = via_stages.effective_prior
         pipeline_report = self.pipeline(via_stages)
         direct_report = self.stage(direct, prior)

@@ -32,7 +32,7 @@ from typing import Any, Callable, Mapping
 
 from .alphabet import Alphabet, LetterId, Pmf, entropy, make_quantized_range
 from .axis import AbstractionAxis, NodeKind, RepresentationNode
-from .channel import MAX_DETERMINISTIC_LETTERS, Channel, _require_declared_size, _same_letters
+from .channel import MAX_DETERMINISTIC_LETTERS, Channel, _require_declared_size
 from .costbenefit import (
     BAYES,
     AbstractionJudgment,
@@ -42,6 +42,7 @@ from .costbenefit import (
     Stage,
     TaskAction,
     TaskTarget,
+    _require_same_ends,
     abstraction_score,
 )
 
@@ -178,6 +179,13 @@ class _at:
     def __exit__(self, kind: type | None, error: BaseException | None, trace: Any) -> None:
         if isinstance(error, ValueError) and not isinstance(error, ScenarioError):
             _fail(self.path, str(error))
+
+
+def _require_pmf(pmf: Pmf, path: str) -> None:
+    """A declared ``pmf`` that is not a probability distribution fails at ``path``."""
+    problems = pmf.violations()
+    if problems:
+        _fail(path, "; ".join(problems))
 
 
 def _integer(key: Any) -> int | None:
@@ -377,9 +385,7 @@ def _build_alphabet(decl: Any, path: str) -> Alphabet:
     with _at(path):
         pmf = None if probs[0] is None else Pmf.from_vector(ids, probs)
         built = Alphabet(aid, ids, pmf)
-    problems = built.pmf.violations()
-    if problems:
-        _fail(path, "; ".join(problems))
+    _require_pmf(built.pmf, path)
     return built
 
 
@@ -449,9 +455,7 @@ def _build_pipeline(decl: Any, path: str, stages: dict[str, Stage]) -> Pipeline:
             covers = f"covers {len(found)} of {first.n_letters} letters of '{first.id}'"
             _fail(f"{path}.prior", covers)
         prior = Pmf(dict(zip([first.letter_ids[k] for k in found], probs)))
-        problems = prior.violations()
-        if problems:
-            _fail(f"{path}.prior", "; ".join(problems))
+        _require_pmf(prior, f"{path}.prior")
     with _at(path):
         return Pipeline(id=pid, stages=tuple(resolved), prior=prior)
 
@@ -466,16 +470,8 @@ def _build_route(
     rid = _get(decl, "id", path, _as_str)
     stage = _ref(decl, "stage", path, stages, "stage")
     pipeline = _ref(decl, "pipeline", path, pipelines, "pipeline")
-    for verb, ours, theirs in (
-        ("starts from", stage.forward.source, pipeline.stages[0].forward.source),
-        ("ends in", stage.forward.target, pipeline.stages[-1].forward.target),
-    ):
-        if not _same_letters(theirs, ours):
-            _fail(
-                path,
-                f"stage '{stage.id}' {verb} '{ours.id}' but pipeline "
-                f"'{pipeline.id}' {verb} '{theirs.id}'",
-            )
+    with _at(path):
+        _require_same_ends(pipeline, stage)
     return DirectRoute(id=rid, stage=stage, pipeline_id=pipeline.id)
 
 

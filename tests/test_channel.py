@@ -427,13 +427,16 @@ class TestReconstruction:
         a, b, c = uniform(2, "a"), uniform(2, "b"), uniform(2, "c")
         f = identity(a)
         wrong = identity(c)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as e:
             reconstructed_pmf(a.pmf, f, wrong)
+        # in the words a Stage refuses the same pair in
+        assert str(e.value) == "reconstruction 'identity(c)' is not oriented from 'a' back to 'a'"
         backwards = Channel.deterministic(
             "r", b, c, {"b0": "c0", "b1": "c1"}
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as e:
             reconstructed_pmf(a.pmf, f, backwards)
+        assert str(e.value) == "reconstruction 'r' is not oriented from 'a' back to 'a'"
 
 
 class TestCompression:

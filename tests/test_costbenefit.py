@@ -336,7 +336,15 @@ class TestCompareRoutes:
         assert not cmp.pipeline_preferred
 
     def test_rejects_mismatched_endpoints(self, route_setup):
+        # in the words the scenario loader reports a direct route in
         readings, charts, verdicts, pipeline, direct = route_setup
-        wrong_end = Stage(merge_by_pairs(readings, uniform(4, "q"), "w"), cost=1.0)
-        with pytest.raises(ValueError):
+        wrong_end = Stage(merge_by_pairs(readings, uniform(4, "q"), "w"), cost=1.0, id="w")
+        with pytest.raises(ValueError) as e:
             compare_routes(pipeline, wrong_end)
+        assert str(e.value) == "stage 'w' ends in 'q' but pipeline 'two-hop' ends in 'v'"
+        wrong_start = Stage(pipeline.stages[1].forward, cost=1.0, id="judge-only")
+        with pytest.raises(ValueError) as e:
+            compare_routes(pipeline, wrong_start)
+        assert str(e.value) == (
+            "stage 'judge-only' starts from 'c' but pipeline 'two-hop' starts from 'r'"
+        )
