@@ -29,12 +29,16 @@ are, marked read-only, without a copy. One forward pass, `_forward`, serves
 `push_forward`, `bayes_inverse` and the Bayes round trip: its marginal is
 added up by `np.add.at` into zeros, in entry order, and copies no input, so
 a zero-stride prior or ``vals`` stays 8 bytes; over a constant joint (a
-uniform prior through a deterministic channel) the marginal and the round
-trip work per target, from the channel's ``counts``, with the same bits. A
-quantizer with more letters than pixels fills ``counts`` in as it is built,
-from the ends of the runs of its image, which never decreases; any other
-channel counts its ``cols`` on first read. The round trip takes its
-potential distortion block by block from the reconstruction it never stores.
+uniform prior through a deterministic channel) the marginal works per
+entry count, from the channel's ``counts``, with the same bits. A quantizer
+with more letters than pixels fills ``counts`` in as it is built, from the
+ends of the runs of its image, which never decreases; any other channel
+counts its ``cols`` on first read. When every reached target of a constant
+joint carries back the same mass, the reconstruction is one value at every
+letter, and the round trip sums its mass and its potential distortion in
+closed form (`_constant_sum`, the bits of the per-letter sums) without
+visiting a letter. Otherwise it takes the potential distortion block by
+block from the reconstruction it never stores.
 
 Measures:
 
@@ -58,10 +62,10 @@ from .alphabet import (
     LetterId,
     Pmf,
     _constant,
+    _constant_sum,
     _divergence,
     _log2,
     _log_terms,
-    _ordered_sum,
     _grid_values,
     entropy,
     kl_divergence,
@@ -477,18 +481,44 @@ def _bayes_round_trip(prior: Pmf, c: Channel) -> tuple[Pmf, float]:
     most the sign of a zero. The entries are added per source in ascending
     target order, as the inverse's rows add them, so the reconstruction is
     the same float for float, up to the sign of a zero, which reaches no
-    sum. With one entry per source (every deterministic channel) the
+    sum. The checks are those `kl_divergence` makes of a reconstruction it
+    is given: no negative mass, and a total within `MASS_TOLERANCE` of one.
+
+    With one joint mass w for every entry (a uniform prior through a
+    deterministic channel), an entry's carried-back mass follows from its
+    target's entry count, and is computed once per count that occurs. When
+    every such count gives one value v, the reconstruction is v at every
+    letter: its sign check is ``v >= 0``, and its mass and divergence are n
+    copies of v and of v's term, summed by `_constant_sum` in the order
+    `_ordered_sum` sums the letters, so no letter is visited. This is the
+    barchart's million-letter stage, where v is w and every term 0.0.
+    Otherwise, and for every other channel, the round trip goes letter by
+    letter. With one entry per source (every deterministic channel) the
     entries are the sources in order: each block of the reconstruction is
     computed, checked and turned into divergence terms in turn, and the
-    reconstruction is never stored; with one joint mass for every entry
-    too, an entry's carried-back mass and term follow from its target's
-    entry count. Other channels add it up whole first. The checks are those
-    `kl_divergence` makes of a reconstruction it is given: no negative
-    mass, and a total within `MASS_TOLERANCE` of one.
+    reconstruction is never stored. Other channels add it up whole first.
     """
     pvec, joint, pushed, sums = _forward(prior, c)
     n = len(pvec)
-    constant = sums is not None
+    if sums is not None:
+        # an entry of a target with j entries carries back v = (w / m) * m,
+        # m = sums[j], by the ufuncs of carried_back below: computed once for
+        # each count j >= 1 that occurs. Distinct counts are few (k of them
+        # add up to at least k(k+1)/2 letters): a set of their v is cheaper
+        # than two reductions
+        occurs = np.zeros(len(sums), dtype=bool)
+        occurs[c.counts] = True
+        occurs[0] = False
+        mj = sums[occurs]
+        v = np.multiply(np.divide(joint[:1], mj), mj)
+        if len(set(v.tolist())) == 1:
+            v = v[:1]
+            # checked before the reconstruction, as below
+            pushed.require_valid()
+            if not (v[0] >= 0.0 and abs(_constant_sum(v, n) - 1.0) <= MASS_TOLERANCE):
+                Pmf.from_vector(c.source.letter_ids, _constant(float(v[0]), n)).require_valid()
+            # the term of `_divergence`, v (log2 v - log2 w)
+            return pushed, _constant_sum(_log_terms(v, np.empty(1), True, _log2(joint[:1])), n)
     m = np.empty(min(len(joint), _BLOCK))
 
     def carried_back(start: int, out: np.ndarray) -> np.ndarray:
@@ -501,24 +531,7 @@ def _bayes_round_trip(prior: Pmf, c: Channel) -> tuple[Pmf, float]:
         return np.multiply(out, mb, out)
 
     buffer = np.zeros(len(m))
-    if constant:
-        # an entry of a target with j entries carries back g = (w / m) * m,
-        # m = sums[j], with the term g (log2 g - log2 w): computed once per
-        # count by the ufuncs of carried_back and `_divergence`
-        g = np.zeros(len(sums))
-        np.divide(joint[:1], sums, g, where=sums > 0.0)
-        np.multiply(g, sums, g)
-        t = _log_terms(g, np.empty(len(g)), False, _log2(joint[:1])).take(c.counts)
-        g = g.take(c.counts)
-
-        def q_block(start: int, end: int) -> np.ndarray:
-            return g.take(c.cols[start:end], None, buffer[: end - start], "clip")
-
-        def terms(start: int, end: int) -> np.ndarray:
-            checked(start, end)
-            return t.take(c.cols[start:end], None, m[: end - start], "clip")
-
-    elif len(c.cols) == n:
+    if len(c.cols) == n:
 
         def q_block(start: int, end: int) -> np.ndarray:
             return carried_back(start, buffer[: end - start])
@@ -546,7 +559,7 @@ def _bayes_round_trip(prior: Pmf, c: Channel) -> tuple[Pmf, float]:
         mass += float(np.add.reduce(qb))
         return qb
 
-    pd = _ordered_sum(n, terms) if constant else _divergence(checked, pvec, prior._positive)
+    pd = _divergence(checked, pvec, prior._positive)
     if not (signed and abs(mass - 1.0) <= MASS_TOLERANCE):
         # gathered whole only to be refused in require_valid's words
         whole = [q_block(s, min(s + _BLOCK, n)).copy() for s in range(0, n, _BLOCK)]

@@ -181,15 +181,20 @@ class Pipeline:
 
 
 def _require_same_ends(pipeline: Pipeline, direct: Stage) -> None:
-    """Refuse a ``direct`` stage that does not start and end where ``pipeline`` does."""
+    """Refuse a ``direct`` stage that does not start and end where ``pipeline``
+    does. A stage without an id is named by its forward channel."""
     for verb, ours, theirs in (
         ("starts from", direct.forward.source, pipeline.stages[0].forward.source),
         ("ends in", direct.forward.target, pipeline.stages[-1].forward.target),
     ):
         if not _same_letters(theirs, ours):
+            name = (
+                f"stage over channel '{direct.forward.id}'"
+                if direct.id is None
+                else f"stage '{direct.id}'"
+            )
             raise ValueError(
-                f"stage '{direct.id}' {verb} '{ours.id}' but pipeline "
-                f"'{pipeline.id}' {verb} '{theirs.id}'"
+                f"{name} {verb} '{ours.id}' but pipeline '{pipeline.id}' {verb} '{theirs.id}'"
             )
 
 

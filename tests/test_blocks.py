@@ -8,7 +8,10 @@ compared here with a whole-vector statement of what it computes, at lengths
 around the block boundary and at the barchart's 1,000,001 letters, with
 `np.array_equal` and equal sign bits. A sum's reference is the documented
 order itself: every term first, then `np.add.reduce` over each `_BLOCK`
-slice, the slice sums added in order from 0.0.
+slice, the slice sums added in order from 0.0. A uniform prior whose round
+trip carries one value back to every letter is summed in closed form; the
+tests of that path also record which sums ran, so that a silent fall back to
+the per-letter path cannot make a comparison vacuous.
 """
 
 import math
@@ -21,6 +24,7 @@ from absmeter import (
     Alphabet,
     Channel,
     Pmf,
+    alphabet,
     analyze,
     bayes_inverse,
     channel,
@@ -133,6 +137,22 @@ def test_barchart_makes_no_long_bincount(monkeypatch):
     monkeypatch.setattr(np, "bincount", counted)
     analyze(loads_scenario(text))
     assert lengths and max(lengths) <= 2**16
+
+
+def test_barchart_makes_no_per_letter_sum(monkeypatch):
+    # the million-letter plot stage carries every letter back as one value,
+    # so no sum of analyze visits a block of letters
+    lengths = []
+    ordered_sum = alphabet._ordered_sum
+
+    def counted(n, block):
+        lengths.append(n)
+        return ordered_sum(n, block)
+
+    scenario = loads_scenario(exemplar("barchart").to_json())
+    monkeypatch.setattr(alphabet, "_ordered_sum", counted)
+    analyze(scenario)
+    assert lengths and max(lengths) < _BLOCK
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -313,8 +333,84 @@ def nonzero_term_counts(n, most):
     return np.flatnonzero(g * (np.log2(g) - np.log2(np.array([w]))) != 0.0) + 1
 
 
+@pytest.fixture
+def sums_taken(monkeypatch):
+    """The sums the Bayes round trip takes itself, in order: ("letters", n)
+    for the per-letter `_divergence` over n letters, ("closed", n) for
+    `_constant_sum` of n copies."""
+    taken = []
+    divergence, constant_sum = channel._divergence, channel._constant_sum
+
+    def letters(q_block, pv, *positive):
+        taken.append(("letters", len(pv)))
+        return divergence(q_block, pv, *positive)
+
+    def closed(term, n):
+        taken.append(("closed", n))
+        return constant_sum(term, n)
+
+    monkeypatch.setattr(channel, "_divergence", letters)
+    monkeypatch.setattr(channel, "_constant_sum", closed)
+    return taken
+
+
+def carried_back(n, counts):
+    """The distinct masses that a uniform prior 1/n carries back through
+    targets of the entry counts that occur in ``counts``."""
+    w = 1 / n
+    occurring = np.unique(counts[counts > 0])
+    sums = np.add.accumulate(np.concatenate([[0.0], np.full(occurring.max(), w)]))[occurring]
+    return set(((w / sums) * sums).tolist())
+
+
+def uniform_and_dense(n):
+    uniform = Alphabet("x", range(n)).pmf
+    return uniform, Pmf.from_vector(uniform.ids, np.full(n, 1 / n))
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_uniform_round_trip_sums_one_value_in_closed_form(sums_taken, n, kind):
+    # where every reached target carries back one value, the uniform prior's
+    # reconstruction is that value at every letter, and its mass and
+    # distortion are summed without visiting a letter; the dense prior's
+    # per-letter result must have the same bits
+    c = one_entry_per_source(n, kind)
+    uniform, dense = uniform_and_dense(n)
+    dense_out, dense_pd = _bayes_round_trip(dense, c)
+    assert sums_taken == [("letters", n)]
+    sums_taken.clear()
+    out, pd = _bayes_round_trip(uniform, c)
+    closed = len(carried_back(n, c.counts)) == 1
+    # two shuffled maps onto 17 targets mix their values; the rest do not
+    assert closed or kind == "map-dense"
+    assert sums_taken == ([("closed", n)] * 2 if closed else [("letters", n)])
+    assert same_bits(out.vec, dense_out.vec)
+    assert same_bits(pd, dense_pd)
+
+
 @pytest.mark.parametrize("start", [1000, _BLOCK + 1, 3 * _BLOCK])
-def test_uniform_round_trip_adds_its_terms_in_entry_order(start):
+def test_one_count_everywhere_carries_back_one_value_off_the_prior(sums_taken, start):
+    # every target has the same entry count j, one that carries 1/n back as
+    # a value one unit off it: the reconstruction is still one value, now
+    # with a nonzero term at every letter
+    n, j = next(
+        (n, j) for n in range(start, start + 500) for j in nonzero_term_counts(n, 64) if n % j == 0
+    )
+    image = np.random.default_rng(n).permutation(np.repeat(np.arange(n // j), j))
+    target = make_quantized_range(0, n // j - 1, 1)
+    c = Channel._from_map("m", make_quantized_range(0, n - 1, 1), target, np.arange(n), image)
+    uniform, dense = uniform_and_dense(n)
+    (out, pd), (dense_out, dense_pd) = _bayes_round_trip(uniform, c), _bayes_round_trip(dense, c)
+    assert sums_taken == [("closed", n), ("closed", n), ("letters", n)]
+    assert len(carried_back(n, c.counts)) == 1 and carried_back(n, c.counts) != {1 / n}
+    assert pd != 0.0
+    assert same_bits(out.vec, dense_out.vec)
+    assert same_bits(pd, dense_pd)
+
+
+@pytest.mark.parametrize("start", [1000, _BLOCK + 1, 3 * _BLOCK])
+def test_uniform_round_trip_adds_its_terms_in_entry_order(sums_taken, start):
     # Through a deterministic channel a uniform prior comes back almost
     # exactly: most terms are 0.0, and the rest are tiny, from a target whose
     # entry count leaves (w / m) * m one unit off w. Targets whose counts mix
@@ -330,7 +426,12 @@ def test_uniform_round_trip_adds_its_terms_in_entry_order(start):
         image = np.random.default_rng(n).permutation(np.repeat(np.arange(len(counts)), counts))
         target = make_quantized_range(0, len(counts) - 1, 1)
         c = Channel._from_map("m", make_quantized_range(0, n - 1, 1), target, np.arange(n), image)
-        (out, pd), (dense_out, dense_pd) = _bayes_round_trip(uniform, c), _bayes_round_trip(dense, c)
+        sums_taken.clear()
+        out, pd = _bayes_round_trip(uniform, c)
+        # mixed values: no closed form, the uniform prior's distortion is
+        # summed letter by letter as the dense prior's is
+        assert sums_taken == [("letters", n)]
+        dense_out, dense_pd = _bayes_round_trip(dense, c)
         assert pd != 0.0
         assert same_bits(out.vec, dense_out.vec)
         assert same_bits(pd, dense_pd)

@@ -511,3 +511,21 @@ class TestEndToEnd:
         captured = capsys.readouterr()
         assert code == 2
         assert "internal error" in captured.err
+
+    def test_console_checks_of_ci_run(self):
+        # the workflow's console-script checks, through this interpreter
+        # instead of an installed console script: the whole script parses,
+        # and its refusal checks pass. Its golden diffs repeat test_golden.py's
+        # pinned reports and are left to the workflow.
+        script = os.path.join(os.path.dirname(__file__), "console_checks.sh")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(
+            os.environ,
+            ABSMETER=f"{sys.executable} -m absmeter",
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        )
+        subprocess.run(["bash", "-n", script], check=True, timeout=60)
+        result = subprocess.run(
+            ["bash", script, "refusals"], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]

@@ -348,3 +348,18 @@ class TestCompareRoutes:
         assert str(e.value) == (
             "stage 'judge-only' starts from 'c' but pipeline 'two-hop' starts from 'r'"
         )
+
+    def test_names_a_stage_without_id_by_its_channel(self, route_setup):
+        readings, charts, verdicts, pipeline, direct = route_setup
+        unnamed = Stage(merge_by_pairs(readings, uniform(4, "q"), "w"), cost=1.0)
+        with pytest.raises(ValueError) as e:
+            compare_routes(pipeline, unnamed)
+        assert str(e.value) == (
+            "stage over channel 'w' ends in 'q' but pipeline 'two-hop' ends in 'v'"
+        )
+        unnamed = Stage(pipeline.stages[1].forward, cost=1.0)
+        with pytest.raises(ValueError) as e:
+            compare_routes(pipeline, unnamed)
+        assert str(e.value) == (
+            "stage over channel 'judge' starts from 'c' but pipeline 'two-hop' starts from 'r'"
+        )
