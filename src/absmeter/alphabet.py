@@ -15,12 +15,13 @@ on first read, and quantizing channels compute only the values they need,
 without ever building it. Nothing keeps per-letter state; this is what
 keeps exact summation over about a million letters fast.
 
-A pmf's vector is read-only. Vectors the package has just computed are
-handed to `Pmf.from_vector` already read-only and kept without a copy; a
-writeable array from a caller is copied, so later writes to it cannot reach
-the pmf. A uniform default pmf is one value: its vector is a read-only
-zero-stride view of 1/n. Being immutable, a pmf computes its entropy once
-and caches it.
+A pmf's vector is read-only. A vector the package has just computed over
+an alphabet's letters is kept without a copy, and those ids, distinct by
+construction, are not checked again (`Pmf._of`); `Pmf.from_vector` refuses
+repeated ids and copies a writeable array from a caller, so later writes to
+it cannot reach the pmf. A uniform default pmf is one value: its vector is
+a read-only zero-stride view of 1/n. Being immutable, a pmf computes its
+entropy once and caches it.
 
 Every sum over a pmf's letters (mass, entropy, divergence) is taken in one
 order that the program fixes, whatever the machine's threads: the terms in
@@ -145,23 +146,32 @@ class Pmf:
         self._entropy: float | None = None
 
     @classmethod
+    def _of(cls, ids: Sequence[LetterId], vec: np.ndarray) -> Pmf:
+        """A pmf over distinct ``ids`` with the package's own vector ``vec``,
+        kept without a copy and made read-only."""
+        self = cls.__new__(cls)
+        self._fill(ids, vec)
+        return self
+
+    @classmethod
     def from_vector(cls, ids: Sequence[LetterId], vector: np.ndarray) -> Pmf:
         """Build a pmf from an id sequence and an aligned probability vector.
 
-        The id sequence is kept by reference (it may be a range), so shared
-        sequences let later alignment checks succeed by identity instead of
-        by element-wise comparison. A read-only vector is kept as it is; a
-        writeable one is copied.
+        Refuses ids that repeat. The id sequence is kept by reference (it
+        may be a range), so shared sequences let later alignment checks
+        succeed by identity instead of by element-wise comparison; its index,
+        built to find repeats, serves later lookups. A read-only vector is
+        kept as it is; a writeable one is copied.
         """
         if len(ids) != len(vector):
             raise ValueError(
                 f"pmf vector has {len(vector)} entries for {len(ids)} letter ids"
             )
-        self = cls.__new__(cls)
         vec = np.asarray(vector, dtype=np.float64)
-        if vec.flags.writeable:
-            vec = vec.copy()
-        self._fill(ids, vec)
+        self = cls._of(ids, vec.copy() if vec.flags.writeable else vec)
+        # ranges cannot repeat; only explicit id collections need the check
+        if not isinstance(ids, range) and len(self._ensure_index()) != len(ids):
+            raise ValueError("duplicate letter ids in pmf")
         return self
 
     @property
@@ -215,6 +225,8 @@ class Pmf:
     def violations(self) -> list[str]:
         """All ways this pmf fails to be a probability distribution.
 
+        Only the masses are checked: every way of building a pmf refuses
+        repeated ids (a mapping's keys, `from_vector`, `Alphabet`).
         A pmf found without problems is marked checked, so `require_valid`
         does not scan it again, and marked positive when no mass is zero.
         """
@@ -222,9 +234,6 @@ class Pmf:
         if len(self._ids) == 0:
             problems.append("pmf has no letters")
             return problems
-        # ranges cannot repeat; only explicit id collections need the check
-        if not isinstance(self._ids, range) and len(self._ensure_index()) != len(self._ids):
-            problems.append("duplicate letter ids in pmf")
         low = np.minimum.reduce(self._vec[:1] if self._vec.strides == (0,) else self._vec)
         # a NaN minimum also lands here; the mass check below reports it
         if not low >= 0.0:
@@ -306,9 +315,9 @@ class Alphabet:
         if not isinstance(letter_ids, range) and len(set(letter_ids)) != n:
             raise ValueError(f"alphabet '{id}' has duplicate letter ids")
         if pmf is None:
-            pmf = Pmf.from_vector(letter_ids, _constant(1.0 / n, n))
+            pmf = Pmf._of(letter_ids, _constant(1.0 / n, n))
         elif pmf.ids is not letter_ids:
-            pmf = Pmf.from_vector(letter_ids, pmf.aligned_to(letter_ids))
+            pmf = Pmf._of(letter_ids, pmf.aligned_to(letter_ids))
         self.id = id
         self.letter_ids: Sequence[LetterId] = letter_ids
         self.pmf = pmf
@@ -412,43 +421,22 @@ def kl_divergence(q: Pmf, p: Pmf) -> float:
 
     Terms with q = 0 contribute nothing; any letter with q > 0 while p = 0
     makes the divergence positive infinity. Both pmfs must be over the same
-    letter-id set (order may differ).
+    letter-id set (order may differ). The terms q (log2 q - log2 p) are
+    computed one `_BLOCK` run at a time and summed by `_ordered_sum`; where
+    q > 0 and p = 0, log2 p is -inf and the term +inf.
     """
     q.require_valid()
     p.require_valid()
-    qv = q.vec
-    return _divergence(
-        lambda start, end: qv[start:end], p.aligned_to(q.ids), p._positive, q._positive
-    )
-
-
-def _divergence(
-    q_block: Callable[[int, int], np.ndarray],
-    pv: np.ndarray,
-    p_positive: bool,
-    q_positive: bool | None = None,
-) -> float:
-    """D(q || p) in bits for a q given one `_BLOCK` run at a time by
-    ``q_block(start, end)``, against the aligned vector ``pv`` of a valid p
-    that is strictly positive when ``p_positive``.
-
-    q need not be stored at all, nor be checked: a letter where q is not
-    positive gets no term, and a caller that has not checked q checks it.
-    ``q_positive`` says whether q, a checked pmf, is strictly positive; when
-    it is None, each block's minimum tells. The terms q (log2 q - log2 p)
-    are summed by `_ordered_sum`; where q > 0 and p = 0, log2 p is -inf and
-    the term +inf, so the divergence is +inf.
-    """
-    n = len(pv)
+    qv, pv = q.vec, p.aligned_to(q.ids)
+    n = len(qv)
     terms, log_p = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
 
     def block(start: int, end: int) -> np.ndarray:
-        qb, pb, lp = q_block(start, end), pv[start:end], log_p[: end - start]
-        if not p_positive:
+        pb, lp = pv[start:end], log_p[: end - start]
+        if not p._positive:
             lp.fill(-math.inf)
-        _log2(pb, lp, p_positive or pb > 0.0)
+        _log2(pb, lp, p._positive or pb > 0.0)
         # log difference, not log of ratio: q/p can overflow when p is denormal
-        positive = bool(np.minimum.reduce(qb) > 0.0) if q_positive is None else q_positive
-        return _log_terms(qb, terms[: end - start], positive, lp)
+        return _log_terms(qv[start:end], terms[: end - start], q._positive, lp)
 
     return _ordered_sum(n, block)

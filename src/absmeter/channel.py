@@ -25,7 +25,8 @@ Derived channels (Bayes inversions) may span alphabets far
 larger than the declared-channel limits; listing only the entries a channel
 can reach is what keeps the exact double summations tractable at that size.
 The pmfs the operations return take their freshly computed vectors as they
-are, marked read-only, without a copy. One forward pass, `_forward`, serves
+are, marked read-only, without a copy, and their ids are an alphabet's
+letters, which are not checked again. One forward pass, `_forward`, serves
 `push_forward`, `bayes_inverse` and the Bayes round trip: its marginal is
 added up by `np.add.at` into zeros, in entry order, and copies no input, so
 a zero-stride prior or ``vals`` stays 8 bytes; over a constant joint (a
@@ -37,8 +38,9 @@ counts its ``cols`` on first read. When every reached target of a constant
 joint carries back the same mass, the reconstruction is one value at every
 letter, and the round trip sums its mass and its potential distortion in
 closed form (`_constant_sum`, the bits of the per-letter sums) without
-visiting a letter. Otherwise it takes the potential distortion block by
-block from the reconstruction it never stores.
+visiting a letter. Otherwise it computes the reconstruction, 8 bytes per
+letter, and `kl_divergence` checks it and takes its potential distortion,
+as it does for an explicit reconstruction channel.
 
 Measures:
 
@@ -63,7 +65,6 @@ from .alphabet import (
     Pmf,
     _constant,
     _constant_sum,
-    _divergence,
     _log2,
     _log_terms,
     _grid_values,
@@ -430,7 +431,7 @@ def _forward(prior: Pmf, c: Channel) -> tuple[np.ndarray, np.ndarray, Pmf, np.nd
         sums, marginal = _tally(c.counts, joint[0])
     else:
         sums, marginal = None, _marginal(c.cols, joint, c.target.n_letters)
-    return pvec, joint, Pmf.from_vector(c.target.letter_ids, marginal), sums
+    return pvec, joint, Pmf._of(c.target.letter_ids, marginal), sums
 
 
 def push_forward(prior: Pmf, c: Channel) -> Pmf:
@@ -481,8 +482,7 @@ def _bayes_round_trip(prior: Pmf, c: Channel) -> tuple[Pmf, float]:
     most the sign of a zero. The entries are added per source in ascending
     target order, as the inverse's rows add them, so the reconstruction is
     the same float for float, up to the sign of a zero, which reaches no
-    sum. The checks are those `kl_divergence` makes of a reconstruction it
-    is given: no negative mass, and a total within `MASS_TOLERANCE` of one.
+    sum.
 
     With one joint mass w for every entry (a uniform prior through a
     deterministic channel), an entry's carried-back mass follows from its
@@ -491,18 +491,23 @@ def _bayes_round_trip(prior: Pmf, c: Channel) -> tuple[Pmf, float]:
     letter: its sign check is ``v >= 0``, and its mass and divergence are n
     copies of v and of v's term, summed by `_constant_sum` in the order
     `_ordered_sum` sums the letters, so no letter is visited. This is the
-    barchart's million-letter stage, where v is w and every term 0.0.
-    Otherwise, and for every other channel, the round trip goes letter by
-    letter. With one entry per source (every deterministic channel) the
-    entries are the sources in order: each block of the reconstruction is
-    computed, checked and turned into divergence terms in turn, and the
-    reconstruction is never stored. Other channels add it up whole first.
+    barchart's million-letter stage, where v is w and every term 0.0; its
+    checks are those `kl_divergence` makes of a reconstruction it is given:
+    no negative mass, and a total within `MASS_TOLERANCE` of one.
+    Otherwise, and for every other channel, the carried-back masses are
+    computed block by block into one array, 8 bytes per entry. With one
+    entry per source (every deterministic channel) the entries are the
+    sources in order and that array is the reconstruction; other channels
+    add it up per source. `kl_divergence` checks the reconstruction and
+    takes its divergence from the prior.
     """
     pvec, joint, pushed, sums = _forward(prior, c)
+    # when the pushed pmf is not a pmf, that is the first fault to report
+    pushed.require_valid()
     n = len(pvec)
     if sums is not None:
         # an entry of a target with j entries carries back v = (w / m) * m,
-        # m = sums[j], by the ufuncs of carried_back below: computed once for
+        # m = sums[j], by the ufuncs of the loop below: computed once for
         # each count j >= 1 that occurs. Distinct counts are few (k of them
         # add up to at least k(k+1)/2 letters): a set of their v is cheaper
         # than two reductions
@@ -513,58 +518,21 @@ def _bayes_round_trip(prior: Pmf, c: Channel) -> tuple[Pmf, float]:
         v = np.multiply(np.divide(joint[:1], mj), mj)
         if len(set(v.tolist())) == 1:
             v = v[:1]
-            # checked before the reconstruction, as below
-            pushed.require_valid()
             if not (v[0] >= 0.0 and abs(_constant_sum(v, n) - 1.0) <= MASS_TOLERANCE):
-                Pmf.from_vector(c.source.letter_ids, _constant(float(v[0]), n)).require_valid()
-            # the term of `_divergence`, v (log2 v - log2 w)
+                Pmf._of(c.source.letter_ids, _constant(float(v[0]), n)).require_valid()
+            # the term of `kl_divergence`, v (log2 v - log2 w)
             return pushed, _constant_sum(_log_terms(v, np.empty(1), True, _log2(joint[:1])), n)
-    m = np.empty(min(len(joint), _BLOCK))
-
-    def carried_back(start: int, out: np.ndarray) -> np.ndarray:
-        # cols index the target, so "clip" clips nothing; it skips the copy
-        # "raise" makes. Where m = 0 the division is skipped, and what out
-        # held, finite, times 0 is 0.
-        cols = c.cols[start : start + len(out)]
-        mb = pushed.vec.take(cols, None, m[: len(cols)], "clip")
+    # where m = 0 the division is skipped, and 0.0 times 0 is 0. cols index
+    # the target, so "clip" clips nothing; it skips the copy "raise" makes
+    back, m = np.zeros(len(joint)), np.empty(min(len(joint), _BLOCK))
+    for start in range(0, len(joint), _BLOCK):
+        out = back[start : start + _BLOCK]
+        mb = pushed.vec.take(c.cols[start : start + len(out)], None, m[: len(out)], "clip")
         np.divide(joint[start : start + len(out)], mb, out, where=mb > 0.0)
-        return np.multiply(out, mb, out)
-
-    buffer = np.zeros(len(m))
-    if len(c.cols) == n:
-
-        def q_block(start: int, end: int) -> np.ndarray:
-            return carried_back(start, buffer[: end - start])
-
-    else:
-        back = np.zeros(len(joint))
-        for start in range(0, len(joint), _BLOCK):
-            carried_back(start, back[start : start + _BLOCK])
-        q = _marginal(c.rows, back, n)
-
-        def q_block(start: int, end: int) -> np.ndarray:
-            return q[start:end]
-
-    # checked before the reconstruction: when the pushed pmf is not a pmf,
-    # that is the first fault to report
-    pushed.require_valid()
-    mass, signed = 0.0, True
-
-    def checked(start: int, end: int) -> np.ndarray:
-        # Pmf.violations' sign and mass checks, block by block; the mass is
-        # summed in the order Pmf.mass sums it
-        nonlocal mass, signed
-        qb = q_block(start, end)
-        signed = signed and bool(np.minimum.reduce(qb) >= 0.0)  # NaN fails too
-        mass += float(np.add.reduce(qb))
-        return qb
-
-    pd = _divergence(checked, pvec, prior._positive)
-    if not (signed and abs(mass - 1.0) <= MASS_TOLERANCE):
-        # gathered whole only to be refused in require_valid's words
-        whole = [q_block(s, min(s + _BLOCK, n)).copy() for s in range(0, n, _BLOCK)]
-        Pmf.from_vector(c.source.letter_ids, np.concatenate(whole)).require_valid()
-    return pushed, pd
+        np.multiply(out, mb, out)
+    # with one entry per source the entries are the sources in order
+    q = back if len(c.cols) == n else _marginal(c.rows, back, n)
+    return pushed, kl_divergence(Pmf._of(c.source.letter_ids, q), prior)
 
 
 def reconstructed_pmf(prior: Pmf, forward: Channel, recon: Channel) -> Pmf:
@@ -584,7 +552,7 @@ def _round_trip(prior: Pmf, forward: Channel, recon: Channel) -> tuple[Pmf, Pmf]
     oriented ``recon``, from one forward pass."""
     observed = push_forward(prior, forward)
     back = push_forward(observed, recon)
-    return observed, Pmf.from_vector(forward.source.letter_ids, back.vec)
+    return observed, Pmf._of(forward.source.letter_ids, back.vec)
 
 
 def alphabet_compression(prior: Pmf, c: Channel) -> float:

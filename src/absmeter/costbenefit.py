@@ -18,7 +18,7 @@ compression) actually hold before comparing the two ratios.
 
 A stage evaluation computes the output distribution and, for a Bayes
 stage, the potential distortion from one pass over the forward channel's
-entries, without storing the reconstructed distribution; an explicit
+entries, without building the inverse channel; an explicit
 reconstruction takes `reconstructed_pmf`'s round trip. The three public
 evaluators each start from nothing; `analyze` shares one `_Evaluator`
 across its sections, so each (stage, input distribution) pair it meets is

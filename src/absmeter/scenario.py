@@ -30,6 +30,8 @@ from operator import add
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
+import numpy as np
+
 from .alphabet import Alphabet, LetterId, Pmf, entropy, make_quantized_range
 from .axis import AbstractionAxis, NodeKind, RepresentationNode
 from .channel import MAX_DETERMINISTIC_LETTERS, Channel, _require_declared_size
@@ -383,7 +385,8 @@ def _build_alphabet(decl: Any, path: str) -> Alphabet:
         )
     ids = tuple(ids)
     with _at(path):
-        pmf = None if probs[0] is None else Pmf.from_vector(ids, probs)
+        # Alphabet refuses repeated ids, the pmf's too: it keeps these ids
+        pmf = None if probs[0] is None else Pmf._of(ids, np.array(probs))
         built = Alphabet(aid, ids, pmf)
     _require_pmf(built.pmf, path)
     return built

@@ -148,6 +148,10 @@ class TestPmf:
     def test_violation_messages(self, d, problems):
         assert Pmf(d).violations() == problems
 
+    def test_from_vector_refuses_repeated_ids(self):
+        with pytest.raises(ValueError, match="duplicate letter ids in pmf"):
+            Pmf.from_vector(("a", "a"), [0.5, 0.5])
+
     def test_aligned_to_reorders(self):
         p = Pmf({"a": 0.1, "b": 0.2, "c": 0.7})
         assert np.allclose(p.aligned_to(("c", "a", "b")), [0.7, 0.1, 0.2])

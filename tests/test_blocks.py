@@ -336,20 +336,20 @@ def nonzero_term_counts(n, most):
 @pytest.fixture
 def sums_taken(monkeypatch):
     """The sums the Bayes round trip takes itself, in order: ("letters", n)
-    for the per-letter `_divergence` over n letters, ("closed", n) for
+    for the per-letter `kl_divergence` over n letters, ("closed", n) for
     `_constant_sum` of n copies."""
     taken = []
-    divergence, constant_sum = channel._divergence, channel._constant_sum
+    divergence, constant_sum = channel.kl_divergence, channel._constant_sum
 
-    def letters(q_block, pv, *positive):
-        taken.append(("letters", len(pv)))
-        return divergence(q_block, pv, *positive)
+    def letters(q, p):
+        taken.append(("letters", len(p)))
+        return divergence(q, p)
 
     def closed(term, n):
         taken.append(("closed", n))
         return constant_sum(term, n)
 
-    monkeypatch.setattr(channel, "_divergence", letters)
+    monkeypatch.setattr(channel, "kl_divergence", letters)
     monkeypatch.setattr(channel, "_constant_sum", closed)
     return taken
 

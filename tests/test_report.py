@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 
 from absmeter import (
+    Pmf,
     analyze,
     costbenefit,
     exemplar,
@@ -16,6 +17,7 @@ from absmeter import (
     loads_scenario,
     stage_cost_benefit,
 )
+from test_golden import _load as load_golden_scenario
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +114,25 @@ class TestEvaluationMemo:
         prior = stage.forward.source.pmf
         assert stage_cost_benefit(stage, prior) == stage_cost_benefit(stage, prior)
         assert len(evaluations) == 2
+
+
+class TestNoIdLookup:
+    """`analyze` looks no letter up by its id: every pmf it computes is over
+    an alphabet's letters, whose ids the alphabet checked once when built."""
+
+    @pytest.mark.parametrize("name", ["stochastic-4096-seed1", "route_premises_hold"])
+    def test_analyze_builds_no_id_index(self, monkeypatch, name):
+        scenario = load_golden_scenario(name)
+        built = []
+        ensure_index = Pmf._ensure_index
+
+        def counted(pmf):
+            built.append(len(pmf))
+            return ensure_index(pmf)
+
+        monkeypatch.setattr(Pmf, "_ensure_index", counted)
+        analyze(scenario)
+        assert built == []
 
 
 class TestMemory:
