@@ -16,11 +16,11 @@ per source the entries are the sources in order: such a channel stores no
 source index array, ``rows`` is built on first read, and the operations
 skip the gather it would drive.
 Declared channels are checked once, by one constructor per kind:
-`_from_map` refuses a source left without an image, `quantizer` computes a
-grid's image, and `_from_rows` checks on whole arrays that every source has
-a row, no entry is negative and each row sums to one. `Channel.deterministic`,
-`Channel.stochastic` and the scenario loader resolve letters to positions in
-front of them.
+`_from_map` refuses a source left without an image, `quantizer` counts a
+grid's level runs, and `_from_rows` checks on whole arrays that every
+source has a row, no entry is negative and each row sums to one.
+`Channel.deterministic`, `Channel.stochastic` and the scenario loader
+resolve letters to positions in front of them.
 Derived channels (Bayes inversions) may span alphabets far
 larger than the declared-channel limits; listing only the entries a channel
 can reach is what keeps the exact double summations tractable at that size.
@@ -31,16 +31,17 @@ letters, which are not checked again. One forward pass, `_forward`, serves
 added up by `np.add.at` into zeros, in entry order, and copies no input, so
 a zero-stride prior or ``vals`` stays 8 bytes; over a constant joint (a
 uniform prior through a deterministic channel) the marginal works per
-entry count, from the channel's ``counts``, with the same bits. A quantizer
-with more letters than pixels fills ``counts`` in as it is built, from the
-ends of the runs of its image, which never decreases; any other channel
-counts its ``cols`` on first read. When every reached target of a constant
-joint carries back the same mass, the reconstruction is one value at every
-letter, and the round trip sums its mass and its potential distortion in
-closed form (`_constant_sum`, the bits of the per-letter sums) without
-visiting a letter. Otherwise it computes the reconstruction, 8 bytes per
-letter, and `kl_divergence` checks it and takes its potential distortion,
-as it does for an explicit reconstruction channel.
+entry count, from the channel's ``counts``, with the same bits. A
+quantizer stores only ``counts``, the runs of its levels, and builds its
+image ``cols`` from them on first read, which the closed form below never
+makes; any other channel counts its ``cols`` on first read. When every
+reached target of a constant joint carries back the same mass, the
+reconstruction is one value at every letter, and the round trip sums its
+mass and its potential distortion in closed form (`_constant_sum`, the
+bits of the per-letter sums) without visiting a letter. Otherwise it
+computes the reconstruction, 8 bytes per letter, and `kl_divergence` checks
+it and takes its potential distortion, as it does for an explicit
+reconstruction channel.
 
 Measures:
 
@@ -139,14 +140,15 @@ class Channel:
 
     ``rows``, ``cols`` and ``vals`` are the entry list described in the
     module docstring; the constructor trusts them to be sorted and every
-    source to have at least one entry. With one entry per source (``len(cols)
+    source to have at least one entry. With one entry per source (``len(vals)
     == source.n_letters``) ``rows`` may be given as None: the entries are then
-    the sources in order, and ``rows`` is built on first read. ``counts``,
-    the number of entries of each target, is counted from ``cols`` on first
-    read unless the constructor that built the channel knew it.
+    the sources in order, and ``rows`` is built on first read. A channel is
+    built from ``cols`` or, when each target's entries are one run (a
+    quantizer's), from ``counts``, the number of entries of each target;
+    the other is derived from it on first read.
     """
 
-    __slots__ = ("id", "source", "target", "_rows", "cols", "vals", "_counts")
+    __slots__ = ("id", "source", "target", "_rows", "_cols", "vals", "_counts")
 
     def __init__(
         self,
@@ -154,53 +156,40 @@ class Channel:
         source: Alphabet,
         target: Alphabet,
         rows: np.ndarray | None,
-        cols: np.ndarray,
+        cols: np.ndarray | None,
         vals: np.ndarray,
+        counts: np.ndarray | None = None,
     ):
         self.id = id
         self.source = source
         self.target = target
         self._rows = rows
-        self.cols = cols
+        self._cols = cols
         self.vals = vals
-        self._counts: np.ndarray | None = None
+        self._counts = counts
 
     @property
     def rows(self) -> np.ndarray:
         """Source index of each entry."""
         if self._rows is None:
-            self._rows = np.arange(len(self.cols), dtype=np.intp)
+            self._rows = np.arange(len(self.vals), dtype=np.intp)
         return self._rows
+
+    @property
+    def cols(self) -> np.ndarray:
+        """Target index of each entry."""
+        if self._cols is None:
+            self._cols = np.repeat(np.arange(self.target.n_letters, dtype=np.intp), self._counts)
+        return self._cols
 
     @property
     def counts(self) -> np.ndarray:
         """Number of entries of each target."""
         if self._counts is None:
-            self._counts = np.bincount(self.cols, None, self.target.n_letters)
+            self._counts = np.bincount(self._cols, None, self.target.n_letters)
         return self._counts
 
     # ---- constructors -------------------------------------------------
-
-    @classmethod
-    def _from_targets(
-        cls, id: str, source: Alphabet, target: Alphabet, targets: np.ndarray
-    ) -> Channel:
-        return cls(id, source, target, None, targets, _constant(1.0, len(targets)))
-
-    @classmethod
-    def _from_levels(
-        cls, id: str, source: Alphabet, target: Alphabet, levels: np.ndarray
-    ) -> Channel:
-        """Deterministic channel onto the non-decreasing target positions
-        ``levels``. Each target's entries are one run, so where there are
-        more entries than targets its count is the distance between the
-        run's ends, found by `np.searchsorted` in about log2(n) steps per
-        target; fewer entries are cheaper to count on first read."""
-        c = cls._from_targets(id, source, target, levels)
-        if len(levels) > target.n_letters:
-            ends = levels.searchsorted(np.arange(target.n_letters + 1))
-            c._counts = ends[1:] - ends[:-1]
-        return c
 
     @classmethod
     def _from_map(
@@ -216,7 +205,7 @@ class Channel:
             raise ValueError(f"channel '{id}': no image for source letter {lid!r}")
         image = np.empty(n, dtype=np.intp)
         image[sources] = targets
-        return cls._from_targets(id, source, target, image)
+        return cls(id, source, target, None, image, _constant(1.0, n))
 
     @classmethod
     def _from_rows(
@@ -295,34 +284,40 @@ class Channel:
         n = source.n_letters
         lo, hi = _grid_values(grid, np.array([0.0, n - 1.0])).tolist()
         if pixels == 1 or hi == lo:
-            return cls._from_levels(id, source, target, np.zeros(n, dtype=np.intp))
-        scale = (pixels - 1) / (hi - lo)
+            # every letter is at level 0
+            at = np.full(pixels - 1, n, dtype=np.intp)
+        else:
+            scale = (pixels - 1) / (hi - lo)
 
-        def level(k: np.ndarray) -> np.ndarray:
-            v = _grid_values(grid, k.astype(np.float64))
-            np.subtract(v, lo, out=v)
-            np.multiply(v, scale, out=v)
-            np.add(v, 0.5, out=v)
-            return np.floor(v, out=v).astype(np.intp)
+            def level(k: np.ndarray) -> np.ndarray:
+                v = _grid_values(grid, k.astype(np.float64))
+                np.subtract(v, lo, out=v)
+                np.multiply(v, scale, out=v)
+                np.add(v, 0.5, out=v)
+                return np.floor(v, out=v).astype(np.intp)
 
-        # The level is monotone non-decreasing in the position: every IEEE
-        # step of it (times step > 0, plus lo, rounding, minus lo, times
-        # scale > 0, plus 0.5, floor) is. So letters between two positions of
-        # equal level share that level, and the formula is needed only at the
-        # ends of each stride and inside the at most pixels - 1 strides where
-        # the level changes. A stride of about sqrt(n / pixels) balances the
-        # two counts. Below n = 2 * pixels it is 1: every letter is an end.
-        stride = 1 << ((n // pixels).bit_length() // 2)
-        ends = np.arange(0, n - 1 + stride, stride)
-        ends[-1] = n - 1
-        at_ends = level(ends)
-        image = np.repeat(at_ends, np.append(np.diff(ends), 1))
-        changed = ends[:-1][at_ends[:-1] != at_ends[1:]]
-        if stride > 1 and len(changed):
-            inside = (changed[:, None] + np.arange(1, stride)).ravel()
-            inside = inside[inside < n - 1]
-            image[inside] = level(inside)
-        return cls._from_levels(id, source, target, image)
+            # The level is monotone non-decreasing in the position: every
+            # IEEE step of it (times step > 0, plus lo, rounding, minus lo,
+            # times scale > 0, plus 0.5, floor) is. So each level's letters
+            # are one run, which starts at the first letter at level l or
+            # above. As level(0) = 0 < l and level(n - 1) = pixels - 1 >= l,
+            # two stride ends bracket that letter, and log2(stride) rounds
+            # bisect every bracket at once, keeping level(below) < l <=
+            # level(at). Below n = 2 * pixels the stride, about
+            # sqrt(n / pixels), is 1: every letter is evaluated once.
+            stride = 1 << ((n // pixels).bit_length() // 2)
+            ends = np.arange(0, n - 1 + stride, stride)
+            ends[-1] = n - 1
+            levels = np.arange(1, pixels)
+            i = level(ends).searchsorted(levels)
+            below, at = ends[i - 1], ends[i]
+            for _ in range(stride.bit_length() - 1):
+                mid = (below + at) // 2
+                up = level(mid) >= levels
+                np.copyto(at, mid, where=up)
+                np.copyto(below, mid, where=~up)
+        counts = np.diff(np.concatenate(([0], at, [n])))
+        return cls(id, source, target, None, None, _constant(1.0, n), counts)
 
     @classmethod
     def stochastic(
@@ -393,7 +388,7 @@ def _joint(pvec: np.ndarray, c: Channel) -> np.ndarray:
     entries are the sources in order and the joint is ``pvec`` itself
     (x * 1.0 == x).
     """
-    if len(c.cols) == c.source.n_letters and c.vals.strides == (0,) and c.vals[0] == 1.0:
+    if len(c.vals) == c.source.n_letters and c.vals.strides == (0,) and c.vals[0] == 1.0:
         return pvec
     return pvec[c.rows] * c.vals
 
@@ -531,7 +526,7 @@ def _bayes_round_trip(prior: Pmf, c: Channel) -> tuple[Pmf, float]:
         np.divide(joint[start : start + len(out)], mb, out, where=mb > 0.0)
         np.multiply(out, mb, out)
     # with one entry per source the entries are the sources in order
-    q = back if len(c.cols) == n else _marginal(c.rows, back, n)
+    q = back if len(c.vals) == n else _marginal(c.rows, back, n)
     return pushed, kl_divergence(Pmf._of(c.source.letter_ids, q), prior)
 
 

@@ -457,7 +457,10 @@ def _build_pipeline(decl: Any, path: str, stages: dict[str, Stage]) -> Pipeline:
         if len(found) != first.n_letters:
             covers = f"covers {len(found)} of {first.n_letters} letters of '{first.id}'"
             _fail(f"{path}.prior", covers)
-        prior = Pmf(dict(zip([first.letter_ids[k] for k in found], probs)))
+        # over the alphabet's own ids, so its sums take letter order
+        vec = np.empty(first.n_letters)
+        vec[found] = probs
+        prior = Pmf._of(first.letter_ids, vec)
         _require_pmf(prior, f"{path}.prior")
     with _at(path):
         return Pipeline(id=pid, stages=tuple(resolved), prior=prior)

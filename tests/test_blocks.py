@@ -1,12 +1,13 @@
 """Blocked and strided kernels against whole-vector references, bit for bit.
 
 Grid values, the one-entry-per-source Bayes round trip, entropy and the KL
-divergence work through long vectors one block at a time; a quantizer image
-is filled stride by stride from the levels at the stride ends, and its
-entries per target are measured from the runs of the image. Each is
-compared here with a whole-vector statement of what it computes, at lengths
-around the block boundary and at the barchart's 1,000,001 letters, with
-`np.array_equal` and equal sign bits. A sum's reference is the documented
+divergence work through long vectors one block at a time; a quantizer finds
+the first letter of each level by bracketing it between stride ends and
+bisecting every bracket at once, stores its entries per target as the runs
+those letters bound, and builds its image from the runs only when read.
+Each is compared here with a whole-vector statement of what it computes, at
+lengths around the block boundary and at the barchart's 1,000,001 letters,
+with `np.array_equal` and equal sign bits. A sum's reference is the documented
 order itself: every term first, then `np.add.reduce` over each `_BLOCK`
 slice, the slice sums added in order from 0.0. A uniform prior whose round
 trip carries one value back to every letter is summed in closed form; the
@@ -75,8 +76,10 @@ def test_grid_values(n, lo, step, decimals):
 
 
 # strides of 1 where n < 2 * pixels (every size at 1_000_001 pixels, the
-# sizes around _BLOCK at 40_000), of 2 to 512 letters otherwise; the last
-# stride is cut short unless the stride divides n - 1
+# sizes around _BLOCK at 40_000): every letter is evaluated and nothing is
+# bisected; of 2 to 512 letters otherwise, bisected in 1 to 9 rounds. The
+# last stride is cut short unless the stride divides n - 1. The image is
+# built from the counts, so both are compared with the formula's levels
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("lo, step, decimals", GRIDS)
 @pytest.mark.parametrize("pixels", [1, 2, 3, 1001, 40_000, 1_000_001])
@@ -93,8 +96,8 @@ def test_quantizer_image(n, lo, step, decimals, pixels):
         expected = np.floor(scaled).astype(np.intp)
     assert c.cols.dtype == np.intp
     assert np.array_equal(c.cols, expected)
-    # from the runs of the sorted image where n > pixels (both special
-    # branches too), on first read where n <= pixels and levels are skipped
+    # the runs that the first letters of the levels bound, in both special
+    # branches too; a level that no letter takes (n < pixels) runs 0 letters
     assert np.array_equal(c.counts, np.bincount(expected, minlength=pixels))
     assert np.array_equal(c.rows, np.arange(n))
     # one entry per source: a read-only zero-stride view of 1.0
@@ -119,12 +122,13 @@ def test_quantizer_level_evaluations(monkeypatch, n, pixels):
     # the first call takes the grid's two ends, to find lo and hi
     assert evaluated[0] == 2
     levels = sum(evaluated[1:])
-    # each letter once on a stride of 1, a fifth of the barchart's letters
-    assert levels == n if n < 2 * pixels else levels <= 200_000
+    # each letter once on a stride of 1; on the barchart, the 31,251 stride
+    # ends and 5 rounds of 1,000 bisections
+    assert levels == n if n < 2 * pixels else levels <= 40_000
 
 
 def test_barchart_makes_no_long_bincount(monkeypatch):
-    # the quantizer counts its image's runs; only the 1,001-letter threshold
+    # the quantizer counts its level runs; only the 1,001-letter threshold
     # map is counted by np.bincount
     lengths = []
     bincount = np.bincount
