@@ -27,10 +27,12 @@ Every sum over a pmf's letters (mass, entropy, divergence) is taken in one
 order that the program fixes, whatever the machine's threads: the terms in
 consecutive blocks of `_BLOCK`, numpy's pairwise `np.add.reduce` within a
 block, and the block sums added left to right from 0.0 (`_ordered_sum`).
-The terms are computed one block at a time into one reused buffer, so no
-letter-length temporary is made, and no BLAS call is made. A zero-stride
-pmf has one term, so its mass and its entropy are one block sum, taken once
-and added up once per block (`_constant_sum`).
+The terms are computed one block at a time, so no letter-length temporary
+is made, and no BLAS call is made. Where every vector of a sum is
+zero-stride (one value, as a uniform pmf is) there is one term: its block
+sum is taken once and added up once per block, without visiting a letter.
+`_ordered_sum` is the one place that knows this case; mass, entropy and
+divergence only hand it their vectors. Every logarithm is taken in `_log2`.
 """
 
 from __future__ import annotations
@@ -64,30 +66,31 @@ def _constant(value: float, n: int) -> np.ndarray:
     return vec
 
 
-def _ordered_sum(n: int, block: Callable[[int, int], np.ndarray]) -> float:
-    """Sum of ``n`` terms in the package's one summation order.
+def _ordered_sum(block: Callable[[int, int], np.ndarray], *vecs: np.ndarray) -> float:
+    """Sum of the terms of the letters of ``vecs`` in the package's one
+    summation order.
 
-    ``block(start, end)`` gives the terms ``start .. end - 1`` of each run of
-    `_BLOCK` in turn; each run is summed by numpy's pairwise `np.add.reduce`
-    and the run sums are added left to right from 0.0. The result follows
-    from the terms alone, not from threads or BLAS.
+    ``block(start, end)`` gives the terms of letters ``start .. end - 1`` of
+    each run of `_BLOCK` in turn; each run is summed by numpy's pairwise
+    `np.add.reduce` and the run sums are added left to right from 0.0. The
+    result follows from the terms alone, not from threads or BLAS. When
+    every vector is zero-stride, one value, every term is ``block(0, 1)``,
+    and the sum of a full run is taken once.
     """
+    n = len(vecs[0])
+    # an empty vector has no term to repeat
+    if n and all(v.strides == (0,) for v in vecs):
+        run = _constant(block(0, 1)[0], min(n, _BLOCK))
+        full, total = float(np.add.reduce(run)), 0.0
+        for start in range(0, n, _BLOCK):
+            total += full if n - start >= len(run) else float(np.add.reduce(run[: n - start]))
+        return total
     if n <= _BLOCK:
         # one block: the loop's set-up costs more than the sum of a few terms
         return 0.0 + float(np.add.reduce(block(0, n)))
     total = 0.0
     for start in range(0, n, _BLOCK):
         total += float(np.add.reduce(block(start, min(start + _BLOCK, n))))
-    return total
-
-
-def _constant_sum(term: np.ndarray, n: int) -> float:
-    """`_ordered_sum` of ``n`` copies of the one-entry array ``term``; the
-    sum of a full block is taken once."""
-    run = np.ndarray((min(n, _BLOCK),), np.float64, term, 0, (0,))
-    block, total = float(np.add.reduce(run)), 0.0
-    for start in range(0, n, _BLOCK):
-        total += block if n - start >= len(run) else float(np.add.reduce(run[: n - start]))
     return total
 
 
@@ -101,17 +104,14 @@ def _log2(
     return np.log2(x, out, where=where)
 
 
-def _log_terms(
-    q: np.ndarray, out: np.ndarray, positive: bool, log_p: np.ndarray | None = None
-) -> np.ndarray:
+def _log_terms(q: np.ndarray, positive: bool, log_p: np.ndarray | None = None) -> np.ndarray:
     """``q * log2(q)``, or ``q * (log2(q) - log_p)`` when ``log_p`` is
-    given, of one block into ``out``; 0.0 where q is 0. ``positive`` says
+    given, of one block, in a new array; 0.0 where q is 0. ``positive`` says
     that no q is 0."""
     if positive:
-        where = True
+        where, out = True, np.empty(len(q))
     else:
-        where = q > 0.0
-        out.fill(0.0)
+        where, out = q > 0.0, np.zeros(len(q))
     _log2(q, out, where)
     if log_p is not None:
         np.subtract(out, log_p, out, where=where)
@@ -218,9 +218,7 @@ class Pmf:
 
     def mass(self) -> float:
         vec = self._vec
-        if vec.strides == (0,):
-            return _constant_sum(vec[:1], len(vec))
-        return _ordered_sum(len(vec), lambda start, end: vec[start:end])
+        return _ordered_sum(lambda start, end: vec[start:end], vec)
 
     def violations(self) -> list[str]:
         """All ways this pmf fails to be a probability distribution.
@@ -403,14 +401,7 @@ def entropy(a: Alphabet | Pmf) -> float:
     pmf.require_valid()
     if pmf._entropy is None:
         v = pmf.vec
-        n = len(v)
-        terms = np.empty(min(n, _BLOCK))
-
-        def block(start: int, end: int) -> np.ndarray:
-            return _log_terms(v[start:end], terms[: end - start], pmf._positive)
-
-        # a zero-stride pmf is one value, so it has one term
-        total = _constant_sum(block(0, 1), n) if v.strides == (0,) else _ordered_sum(n, block)
+        total = _ordered_sum(lambda start, end: _log_terms(v[start:end], pmf._positive), v)
         # a one-letter pmf gives -1*log2(1) = -0.0; normalize the sign
         pmf._entropy = -total + 0.0
     return pmf._entropy
@@ -428,15 +419,12 @@ def kl_divergence(q: Pmf, p: Pmf) -> float:
     q.require_valid()
     p.require_valid()
     qv, pv = q.vec, p.aligned_to(q.ids)
-    n = len(qv)
-    terms, log_p = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
 
     def block(start: int, end: int) -> np.ndarray:
-        pb, lp = pv[start:end], log_p[: end - start]
-        if not p._positive:
-            lp.fill(-math.inf)
+        pb = pv[start:end]
+        lp = np.empty(end - start) if p._positive else np.full(end - start, -math.inf)
         _log2(pb, lp, p._positive or pb > 0.0)
         # log difference, not log of ratio: q/p can overflow when p is denormal
-        return _log_terms(qv[start:end], terms[: end - start], q._positive, lp)
+        return _log_terms(qv[start:end], q._positive, lp)
 
-    return _ordered_sum(n, block)
+    return _ordered_sum(block, qv, pv)

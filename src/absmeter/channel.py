@@ -33,15 +33,16 @@ a zero-stride prior or ``vals`` stays 8 bytes; over a constant joint (a
 uniform prior through a deterministic channel) the marginal works per
 entry count, from the channel's ``counts``, with the same bits. A
 quantizer stores only ``counts``, the runs of its levels, and builds its
-image ``cols`` from them on first read, which the closed form below never
-makes; any other channel counts its ``cols`` on first read. When every
-reached target of a constant joint carries back the same mass, the
-reconstruction is one value at every letter, and the round trip sums its
-mass and its potential distortion in closed form (`_constant_sum`, the
-bits of the per-letter sums) without visiting a letter. Otherwise it
-computes the reconstruction, 8 bytes per letter, and `kl_divergence` checks
-it and takes its potential distortion, as it does for an explicit
-reconstruction channel.
+image ``cols`` from them on first read, which neither the closed form below
+nor `Channel.image_of` makes; any other channel counts its ``cols`` on
+first read. When every reached target of a constant joint carries back the
+same mass, the reconstruction is that one value, a zero-stride vector,
+which `kl_divergence` sums in closed form without visiting a letter, with
+the bits of the per-letter sums. Otherwise the round trip computes the
+reconstruction, 8 bytes per letter. Either way `kl_divergence` checks it
+and takes its potential distortion, as it does for an explicit
+reconstruction channel; this module takes no logarithm, and no mass or
+divergence sum, of its own.
 
 Measures:
 
@@ -60,14 +61,10 @@ import numpy as np
 
 from .alphabet import (
     _BLOCK,
-    MASS_TOLERANCE,
     Alphabet,
     LetterId,
     Pmf,
     _constant,
-    _constant_sum,
-    _log2,
-    _log_terms,
     _grid_values,
     entropy,
     kl_divergence,
@@ -309,7 +306,9 @@ class Channel:
             ends = np.arange(0, n - 1 + stride, stride)
             ends[-1] = n - 1
             levels = np.arange(1, pixels)
-            i = level(ends).searchsorted(levels)
+            # entry l - 1 counts the ends below level l: the first end at
+            # level l or above, as a search of the sorted levels finds it
+            i = np.bincount(level(ends), None, pixels).cumsum()[:-1]
             below, at = ends[i - 1], ends[i]
             for _ in range(stride.bit_length() - 1):
                 mid = (below + at) // 2
@@ -350,7 +349,10 @@ class Channel:
         if not self.is_deterministic:
             raise ValueError(f"channel '{self.id}' is stochastic")
         i = self.source.index_of(letter_id)
-        return self.target.letter_ids[int(self.cols[i])]
+        if self._cols is None:
+            # a quantizer: the level whose run holds letter i
+            return self.target.letter_ids[int(np.cumsum(self.counts).searchsorted(i, "right"))]
+        return self.target.letter_ids[int(self._cols[i])]
 
     def row(self, letter_id: LetterId) -> dict[LetterId, float]:
         """Conditional distribution over target letters for one source letter."""
@@ -402,31 +404,29 @@ def _marginal(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _tally(counts: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray]:
-    """The sums 0, w, w + w, ... up to the most of ``counts``, added left to
-    right as `np.add.at` adds into zeros, and the read-only sum of ``counts[i]``
-    entries of ``w`` for each i they give."""
+def _tally(counts: np.ndarray, w: float) -> np.ndarray:
+    """Read-only sum of ``counts[i]`` entries of ``w`` for each i, read off
+    the running sums 0, w, w + w, ..., which add left to right from 0.0 as
+    `np.add.at` adds into zeros."""
     sums = np.empty(counts.max() + 1)
     sums.fill(w)
     sums[0] = 0.0
-    sums = np.add.accumulate(sums)
-    out = sums.take(counts)
+    out = np.add.accumulate(sums).take(counts)
     out.flags.writeable = False
-    return sums, out
+    return out
 
 
-def _forward(prior: Pmf, c: Channel) -> tuple[np.ndarray, np.ndarray, Pmf, np.ndarray | None]:
+def _forward(prior: Pmf, c: Channel) -> tuple[np.ndarray, np.ndarray, Pmf]:
     """The forward pass of a valid ``prior`` through ``c``: the prior's vector
-    in source order, the joint mass of each entry, the pushed pmf and, for a
-    zero-stride joint, the running sums of `_tally` (else None)."""
+    in source order, the joint mass of each entry and the pushed pmf."""
     prior.require_valid()
     pvec = prior.aligned_to(c.source.letter_ids)
     joint = _joint(pvec, c)
     if joint.strides == (0,):
-        sums, marginal = _tally(c.counts, joint[0])
+        marginal = _tally(c.counts, joint[0])
     else:
-        sums, marginal = None, _marginal(c.cols, joint, c.target.n_letters)
-    return pvec, joint, Pmf._of(c.target.letter_ids, marginal), sums
+        marginal = _marginal(c.cols, joint, c.target.n_letters)
+    return pvec, joint, Pmf._of(c.target.letter_ids, marginal)
 
 
 def push_forward(prior: Pmf, c: Channel) -> Pmf:
@@ -444,7 +444,7 @@ def bayes_inverse(c: Channel, prior: Pmf) -> Channel:
     Target letters that receive no mass get the prior itself as their row,
     so the result is total over the target alphabet.
     """
-    pvec, joint, pushed, _ = _forward(prior, c)
+    pvec, joint, pushed = _forward(prior, c)
     reach = pushed.vec > 0.0
     keep = reach[c.cols]
     reached = c.cols[keep]
@@ -469,64 +469,40 @@ def _bayes_round_trip(prior: Pmf, c: Channel) -> tuple[Pmf, float]:
     prior)`` from one pass over the forward entries, without building the
     inverse.
 
-    The joint masses and their marginal are computed once and serve both
-    results. An entry carries back ``m * (joint / m)``, m its target's
-    marginal, as the inverse's row does. Only reached targets carry observed
-    mass back, so the inverse's prior rows for unreached targets contribute
-    nothing; their entries here get weight zero, and adding zero changes at
-    most the sign of a zero. The entries are added per source in ascending
-    target order, as the inverse's rows add them, so the reconstruction is
-    the same float for float, up to the sign of a zero, which reaches no
-    sum.
-
-    With one joint mass w for every entry (a uniform prior through a
-    deterministic channel), an entry's carried-back mass follows from its
-    target's entry count, and is computed once per count that occurs. When
-    every such count gives one value v, the reconstruction is v at every
-    letter: its sign check is ``v >= 0``, and its mass and divergence are n
-    copies of v and of v's term, summed by `_constant_sum` in the order
-    `_ordered_sum` sums the letters, so no letter is visited. This is the
-    barchart's million-letter stage, where v is w and every term 0.0; its
-    checks are those `kl_divergence` makes of a reconstruction it is given:
-    no negative mass, and a total within `MASS_TOLERANCE` of one.
-    Otherwise, and for every other channel, the carried-back masses are
-    computed block by block into one array, 8 bytes per entry. With one
-    entry per source (every deterministic channel) the entries are the
-    sources in order and that array is the reconstruction; other channels
-    add it up per source. `kl_divergence` checks the reconstruction and
-    takes its divergence from the prior.
+    An entry carries back ``(joint / m) * m``, m its target's marginal, as
+    the inverse's row does; an unreached target's entries carry back 0,
+    where the inverse's prior rows add nothing but the sign of a zero,
+    which reaches no sum. The entries are added per source in ascending target order, as the
+    inverse's rows add them. With one joint mass for every entry (a uniform
+    prior through a deterministic channel) and one carried-back value at
+    every reached target, the reconstruction is that value at every letter:
+    a zero-stride vector, which `kl_divergence` sums without visiting a
+    letter (the barchart's million-letter stage).
     """
-    pvec, joint, pushed, sums = _forward(prior, c)
+    pvec, joint, pushed = _forward(prior, c)
     # when the pushed pmf is not a pmf, that is the first fault to report
     pushed.require_valid()
     n = len(pvec)
-    if sums is not None:
-        # an entry of a target with j entries carries back v = (w / m) * m,
-        # m = sums[j], by the ufuncs of the loop below: computed once for
-        # each count j >= 1 that occurs. Distinct counts are few (k of them
-        # add up to at least k(k+1)/2 letters): a set of their v is cheaper
-        # than two reductions
-        occurs = np.zeros(len(sums), dtype=bool)
-        occurs[c.counts] = True
-        occurs[0] = False
-        mj = sums[occurs]
-        v = np.multiply(np.divide(joint[:1], mj), mj)
-        if len(set(v.tolist())) == 1:
-            v = v[:1]
-            if not (v[0] >= 0.0 and abs(_constant_sum(v, n) - 1.0) <= MASS_TOLERANCE):
-                Pmf._of(c.source.letter_ids, _constant(float(v[0]), n)).require_valid()
-            # the term of `kl_divergence`, v (log2 v - log2 w)
-            return pushed, _constant_sum(_log_terms(v, np.empty(1), True, _log2(joint[:1])), n)
-    # where m = 0 the division is skipped, and 0.0 times 0 is 0. cols index
-    # the target, so "clip" clips nothing; it skips the copy "raise" makes
-    back, m = np.zeros(len(joint)), np.empty(min(len(joint), _BLOCK))
-    for start in range(0, len(joint), _BLOCK):
-        out = back[start : start + _BLOCK]
-        mb = pushed.vec.take(c.cols[start : start + len(out)], None, m[: len(out)], "clip")
-        np.divide(joint[start : start + len(out)], mb, out, where=mb > 0.0)
-        np.multiply(out, mb, out)
-    # with one entry per source the entries are the sources in order
-    q = back if len(c.vals) == n else _marginal(c.rows, back, n)
+    q = None
+    if joint.strides == (0,):
+        # what each reached target carries back, by the ufuncs of the loop
+        # below: the joint mass w > 0 and the marginal m >= w, so v > 0
+        m = pushed.vec[c.counts > 0]
+        v = np.multiply(np.divide(joint[:1], m), m)
+        if (v == v[0]).all():
+            q = _constant(v[0], n)
+    if q is None:
+        # where m = 0 the division is skipped, and 0.0 times 0 is 0. cols
+        # index the target, so "clip" clips nothing; it skips the copy
+        # "raise" makes
+        back, m = np.zeros(len(joint)), np.empty(min(len(joint), _BLOCK))
+        for start in range(0, len(joint), _BLOCK):
+            out = back[start : start + _BLOCK]
+            mb = pushed.vec.take(c.cols[start : start + len(out)], None, m[: len(out)], "clip")
+            np.divide(joint[start : start + len(out)], mb, out, where=mb > 0.0)
+            np.multiply(out, mb, out)
+        # with one entry per source the entries are the sources in order
+        q = back if len(c.vals) == n else _marginal(c.rows, back, n)
     return pushed, kl_divergence(Pmf._of(c.source.letter_ids, q), prior)
 
 

@@ -143,20 +143,31 @@ def test_barchart_makes_no_long_bincount(monkeypatch):
     assert lengths and max(lengths) <= 2**16
 
 
-def test_barchart_makes_no_per_letter_sum(monkeypatch):
-    # the million-letter plot stage carries every letter back as one value,
-    # so no sum of analyze visits a block of letters
-    lengths = []
+@pytest.fixture
+def blocks_visited(monkeypatch):
+    """The length of every block of terms that a sum computes, in order; a
+    sum over one value computes one term."""
+    visited = []
     ordered_sum = alphabet._ordered_sum
 
-    def counted(n, block):
-        lengths.append(n)
-        return ordered_sum(n, block)
+    def counted(block, *vecs):
+        def recorded(start, end):
+            visited.append(end - start)
+            return block(start, end)
 
-    scenario = loads_scenario(exemplar("barchart").to_json())
+        return ordered_sum(recorded, *vecs)
+
     monkeypatch.setattr(alphabet, "_ordered_sum", counted)
+    return visited
+
+
+def test_barchart_makes_no_per_letter_sum(blocks_visited):
+    # the million-letter plot stage carries every letter back as one value,
+    # so no sum of analyze visits a block of letters
+    scenario = loads_scenario(exemplar("barchart").to_json())
+    blocks_visited.clear()
     analyze(scenario)
-    assert lengths and max(lengths) < _BLOCK
+    assert blocks_visited and max(blocks_visited) < _BLOCK
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -303,13 +314,34 @@ def test_counts(n, kind):
     assert same_bits(c.counts, np.bincount(c.cols, minlength=c.target.n_letters))
 
 
+def test_an_empty_zero_stride_vector_sums_to_zero():
+    empty = np.broadcast_to(0.5, 0)
+    assert empty.strides == (0,)
+    assert same_bits(Pmf.from_vector([], empty).mass(), 0.0)
+
+
 @pytest.mark.parametrize("n", [101] + SIZES)
-def test_uniform_pmf_is_one_value(n):
+def test_uniform_pmf_is_one_value(blocks_visited, n):
     uniform = Alphabet("x", range(n)).pmf
     assert uniform.vec.strides == (0,) and not uniform.vec.flags.writeable
     dense = Pmf.from_vector(uniform.ids, np.full(n, 1 / n))
     assert same_bits(entropy(uniform), entropy(dense))
     assert same_bits(uniform.mass(), dense.mass())
+    # one value against another: one term, summed without visiting a block
+    # of letters. The value is far enough above 1/n for log2 to tell them
+    # apart at every n, so the term is not 0.0
+    value = (1 + 2.0**-40) / n
+    q = Pmf.from_vector(uniform.ids, np.broadcast_to(value, n))
+    dense_q = Pmf.from_vector(uniform.ids, np.full(n, value))
+    assert q.vec.strides == (0,)
+    blocks_visited.clear()
+    d = kl_divergence(q, uniform)
+    assert blocks_visited and set(blocks_visited) == {1}
+    assert d != 0.0 and same_bits(d, kl_divergence(dense_q, dense))
+    # one value against a dense prior: the per-letter path
+    blocks_visited.clear()
+    assert same_bits(kl_divergence(q, dense), d)
+    assert max(blocks_visited) == min(n, _BLOCK)
     for kind in KINDS:
         c = one_entry_per_source(n, kind)
         assert same_bits(push_forward(uniform, c).vec, push_forward(dense, c).vec)
@@ -339,22 +371,17 @@ def nonzero_term_counts(n, most):
 
 @pytest.fixture
 def sums_taken(monkeypatch):
-    """The sums the Bayes round trip takes itself, in order: ("letters", n)
-    for the per-letter `kl_divergence` over n letters, ("closed", n) for
-    `_constant_sum` of n copies."""
+    """The divergences the Bayes round trip takes, in order: ("closed", n)
+    of a reconstruction that is one value at its n letters (a zero-stride
+    vector), ("letters", n) of one that is summed letter by letter."""
     taken = []
-    divergence, constant_sum = channel.kl_divergence, channel._constant_sum
+    divergence = channel.kl_divergence
 
-    def letters(q, p):
-        taken.append(("letters", len(p)))
+    def recorded(q, p):
+        taken.append(("closed" if q.vec.strides == (0,) else "letters", len(p)))
         return divergence(q, p)
 
-    def closed(term, n):
-        taken.append(("closed", n))
-        return constant_sum(term, n)
-
-    monkeypatch.setattr(channel, "kl_divergence", letters)
-    monkeypatch.setattr(channel, "_constant_sum", closed)
+    monkeypatch.setattr(channel, "kl_divergence", recorded)
     return taken
 
 
@@ -388,7 +415,7 @@ def test_uniform_round_trip_sums_one_value_in_closed_form(sums_taken, n, kind):
     closed = len(carried_back(n, c.counts)) == 1
     # two shuffled maps onto 17 targets mix their values; the rest do not
     assert closed or kind == "map-dense"
-    assert sums_taken == ([("closed", n)] * 2 if closed else [("letters", n)])
+    assert sums_taken == ([("closed", n)] if closed else [("letters", n)])
     assert same_bits(out.vec, dense_out.vec)
     assert same_bits(pd, dense_pd)
 
@@ -406,7 +433,7 @@ def test_one_count_everywhere_carries_back_one_value_off_the_prior(sums_taken, s
     c = Channel._from_map("m", make_quantized_range(0, n - 1, 1), target, np.arange(n), image)
     uniform, dense = uniform_and_dense(n)
     (out, pd), (dense_out, dense_pd) = _bayes_round_trip(uniform, c), _bayes_round_trip(dense, c)
-    assert sums_taken == [("closed", n), ("closed", n), ("letters", n)]
+    assert sums_taken == [("closed", n), ("letters", n)]
     assert len(carried_back(n, c.counts)) == 1 and carried_back(n, c.counts) != {1 / n}
     assert pd != 0.0
     assert same_bits(out.vec, dense_out.vec)
@@ -448,6 +475,6 @@ def test_equal_weights_add_up_as_add_at_adds(w):
     index = rng.permutation(np.repeat(np.arange(100), rng.integers(0, 5000, size=100)))
     expected = np.zeros(103)
     np.add.at(expected, index, np.full(len(index), w))
-    got = _tally(np.bincount(index, None, 103), w)[1]
+    got = _tally(np.bincount(index, None, 103), w)
     assert same_bits(got, expected) or (np.isnan(w) and np.array_equal(got, expected, equal_nan=True))
     assert not got.flags.writeable

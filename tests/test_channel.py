@@ -15,6 +15,7 @@ from absmeter import (
     alphabet_compression,
     bayes_inverse,
     entropy,
+    exemplar,
     kl_divergence,
     loads_scenario,
     make_quantized_range,
@@ -231,6 +232,18 @@ class TestQuantizer:
         assert [q.image_of(v) for v in src.letter_ids] == [
             "px0", "px1", "px1", "px2", "px2"
         ]
+
+    def test_image_of_reads_the_level_runs(self):
+        # the last and first letter of runs at both ends and in the middle of
+        # barchart's plot channel, against the image of a fresh channel; the
+        # image is not built
+        plot = loads_scenario(exemplar("barchart").to_json()).channels["plot"]
+        fresh = Channel.quantizer("q", plot.source, plot.target, 1001)
+        starts = np.cumsum(plot.counts)[[0, 1, 2, 499, 500, 997, 998, 999]]
+        for i in np.concatenate(([0], starts - 1, starts, [plot.source.n_letters - 1])):
+            want = plot.target.letter_ids[int(fresh.cols[i])]
+            assert plot.image_of(plot.source.letter_ids[int(i)]) == want
+        assert plot._cols is None
 
     def test_single_pixel_collapses_everything(self):
         src = make_quantized_range(0, 9, 1, id="vals")
