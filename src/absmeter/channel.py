@@ -27,21 +27,18 @@ can reach is what keeps the exact double summations tractable at that size.
 The pmfs the operations return take their freshly computed vectors as they
 are, marked read-only, without a copy, and their ids are an alphabet's
 letters, which are not checked again. One forward pass, `_forward`, serves
-`push_forward`, `bayes_inverse` and the Bayes round trip: its marginal is
-added up by `np.add.at` into zeros, in entry order, and copies no input, so
-a zero-stride prior or ``vals`` stays 8 bytes; over a constant joint (a
-uniform prior through a deterministic channel) the marginal works per
-entry count, from the channel's ``counts``, with the same bits. A
+`push_forward`, `bayes_inverse` and a Bayes stage's evaluation: its
+marginal is added up by `np.add.at` into zeros, in entry order, and copies
+no input, so a zero-stride prior or ``vals`` stays 8 bytes; over a constant
+joint (a uniform prior through a deterministic channel) the marginal works
+per entry count, from the channel's ``counts``, with the same bits. A
 quantizer stores only ``counts``, the runs of its levels, and builds its
-image ``cols`` from them on first read, which neither the closed form below
-nor `Channel.image_of` makes; any other channel counts its ``cols`` on
-first read. When every reached target of a constant joint carries back the
-same mass, the reconstruction is that one value, a zero-stride vector,
-which `kl_divergence` sums in closed form without visiting a letter, with
-the bits of the per-letter sums. Otherwise the round trip computes the
-reconstruction, 8 bytes per letter. Either way `kl_divergence` checks it
-and takes its potential distortion, as it does for an explicit
-reconstruction channel; this module takes no logarithm, and no mass or
+image ``cols`` from them on first read, which neither a Bayes stage nor
+`Channel.image_of` makes; any other channel counts its ``cols`` on first
+read. A Bayes reconstruction is the prior times each source row's sum, so
+its potential distortion needs only each row's exact ``deficit`` (sum minus
+one), computed on first read: all zeros, one zero-stride value, for a
+deterministic channel. This module takes no logarithm, and no mass or
 divergence sum, of its own.
 
 Measures:
@@ -55,12 +52,12 @@ reconstruction puts mass where the prior has none.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
 import numpy as np
 
 from .alphabet import (
-    _BLOCK,
     Alphabet,
     LetterId,
     Pmf,
@@ -132,6 +129,10 @@ def _require_declared_size(
     raise ValueError(f"channel '{id}': {problem}")
 
 
+def _row_sum(lid: LetterId, total: float) -> str:
+    return f"row {lid!r} sums to {total!r} (expected 1 within {ROW_MASS_TOLERANCE})"
+
+
 class Channel:
     """Conditional distribution over target letters given a source letter.
 
@@ -142,10 +143,11 @@ class Channel:
     the sources in order, and ``rows`` is built on first read. A channel is
     built from ``cols`` or, when each target's entries are one run (a
     quantizer's), from ``counts``, the number of entries of each target;
-    the other is derived from it on first read.
+    the other is derived from it on first read, as ``deficit`` is from the
+    entries.
     """
 
-    __slots__ = ("id", "source", "target", "_rows", "_cols", "vals", "_counts")
+    __slots__ = ("id", "source", "target", "_rows", "_cols", "vals", "_counts", "_deficit")
 
     def __init__(
         self,
@@ -164,6 +166,7 @@ class Channel:
         self._cols = cols
         self.vals = vals
         self._counts = counts
+        self._deficit: np.ndarray | None = None
 
     @property
     def rows(self) -> np.ndarray:
@@ -185,6 +188,31 @@ class Channel:
         if self._counts is None:
             self._counts = np.bincount(self._cols, None, self.target.n_letters)
         return self._counts
+
+    @property
+    def deficit(self) -> np.ndarray:
+        """Each source row's sum minus one, read-only: `math.fsum` of the
+        row's entries and -1.0, which is exact. A row outside
+        `ROW_MASS_TOLERANCE` is refused, in `_from_rows`' words (`_row_sum`);
+        `_from_rows` refuses every such row, so only a channel built by this
+        class's constructor can have one."""
+        if self._deficit is None:
+            n = self.source.n_letters
+            if self.is_deterministic:
+                self._deficit = _constant(0.0, n)
+                return self._deficit
+            # the rows are sorted, so each source's entries are one slice
+            ends = np.searchsorted(self.rows, np.arange(n + 1)).tolist()
+            vals, one = self.vals.tolist(), [-1.0]
+            e = np.array([math.fsum(vals[a:b] + one) for a, b in zip(ends, ends[1:])])
+            bad = np.flatnonzero(~(np.abs(e) <= ROW_MASS_TOLERANCE))
+            if len(bad):
+                i = int(bad[0])
+                total = math.fsum(vals[ends[i] : ends[i + 1]])
+                raise ValueError(f"channel '{self.id}': {_row_sum(self.source.letter_ids[i], total)}")
+            e.flags.writeable = False
+            self._deficit = e
+        return self._deficit
 
     # ---- constructors -------------------------------------------------
 
@@ -213,16 +241,24 @@ class Channel:
         ``cols`` (target positions, distinct within a row) and ``vals``.
 
         Every source needs a row, no probability may be negative and each row
-        must sum to 1, checked on whole arrays. The first failing source is
-        reported, a negative entry before its row's sum.
+        must sum to 1 within `ROW_MASS_TOLERANCE`, checked on whole arrays;
+        the exact sum decides where the rounded one is too close to tell. The
+        first failing source is reported, a negative entry before its row's
+        sum.
         """
         n_in, n_out = source.n_letters, target.n_letters
         rows = np.repeat(np.asarray(keys, dtype=np.intp), sizes)
         vals = np.array(vals, dtype=np.float64)
         sums = np.bincount(rows, weights=vals, minlength=n_in)
+        off = np.abs(sums - 1.0)
+        # a sum within its rounding of the tolerance is decided by the exact
+        # deficit, as `deficit` decides it; no sum of 4096 entries rounds by 1e-12
+        for i in np.flatnonzero(np.abs(off - ROW_MASS_TOLERANCE) <= 1e-12):
+            row = vals[rows == i].tolist()
+            sums[i], off[i] = math.fsum(row), abs(math.fsum(row + [-1.0]))
         declared = np.zeros(n_in, dtype=bool)
         declared[keys] = True
-        bad = ~declared | ~(np.abs(sums - 1.0) <= ROW_MASS_TOLERANCE)
+        bad = ~declared | ~(off <= ROW_MASS_TOLERANCE)
         bad[rows[vals < 0.0]] = True
         if bad.any():
             i = int(np.argmax(bad))
@@ -233,10 +269,7 @@ class Channel:
             elif len(below):
                 problem = f"negative conditional probability {float(below[0])!r} in row {lid!r}"
             else:
-                problem = (
-                    f"row {lid!r} sums to {float(sums[i])!r} "
-                    f"(expected 1 within {ROW_MASS_TOLERANCE})"
-                )
+                problem = _row_sum(lid, float(sums[i]))
             raise ValueError(f"channel '{id}': {problem}")
         key = rows * n_out + np.asarray(cols, dtype=np.intp)
         order = np.argsort(key)
@@ -297,24 +330,31 @@ class Channel:
             # IEEE step of it (times step > 0, plus lo, rounding, minus lo,
             # times scale > 0, plus 0.5, floor) is. So each level's letters
             # are one run, which starts at the first letter at level l or
-            # above. As level(0) = 0 < l and level(n - 1) = pixels - 1 >= l,
-            # two stride ends bracket that letter, and log2(stride) rounds
-            # bisect every bracket at once, keeping level(below) < l <=
-            # level(at). Below n = 2 * pixels the stride, about
-            # sqrt(n / pixels), is 1: every letter is evaluated once.
-            stride = 1 << ((n // pixels).bit_length() // 2)
-            ends = np.arange(0, n - 1 + stride, stride)
-            ends[-1] = n - 1
+            # above.
             levels = np.arange(1, pixels)
-            # entry l - 1 counts the ends below level l: the first end at
-            # level l or above, as a search of the sorted levels finds it
-            i = np.bincount(level(ends), None, pixels).cumsum()[:-1]
-            below, at = ends[i - 1], ends[i]
-            for _ in range(stride.bit_length() - 1):
-                mid = (below + at) // 2
-                up = level(mid) >= levels
-                np.copyto(at, mid, where=up)
-                np.copyto(below, mid, where=~up)
+            if n < 2 * pixels:
+                # every letter once: entry l - 1 counts the letters below
+                # level l, which is that first letter's position
+                at = np.bincount(level(np.arange(n)), None, pixels).cumsum()[:-1]
+            else:
+                # Letter k is at about k * step * scale, so that letter is
+                # near (l - 1/2) / (step * scale); a bracket of two letters
+                # on either side holds it when level(below) < l <= level(at).
+                # A bracket that does not is widened to the whole grid, which
+                # holds it, as level(0) = 0 < l and level(n - 1) = pixels - 1
+                # >= l. Bisecting every bracket at once keeps that
+                # invariant, and the widest bracket sets the rounds.
+                per_level = min((hi - lo) / ((pixels - 1) * grid[1]), n)
+                guess = np.ceil((levels - 0.5) * per_level).astype(np.intp)
+                below = np.clip(guess - 2, 0, n - 1)
+                at = np.clip(guess + 2, 0, n - 1)
+                missed = (level(below) >= levels) | (level(at) < levels)
+                below[missed], at[missed] = 0, n - 1
+                for _ in range(int((at - below).max() - 1).bit_length()):
+                    mid = (below + at) // 2
+                    up = level(mid) >= levels
+                    np.copyto(at, mid, where=up)
+                    np.copyto(below, mid, where=~up)
         counts = np.diff(np.concatenate(([0], at, [n])))
         return cls(id, source, target, None, None, _constant(1.0, n), counts)
 
@@ -340,10 +380,12 @@ class Channel:
 
     @property
     def is_deterministic(self) -> bool:
-        # every source has at least one entry, so n entries means one each
-        return len(self.vals) == self.source.n_letters and bool(
-            np.all(self.vals == 1.0)
-        )
+        # every source has at least one entry, so n entries means one each;
+        # a zero-stride vals is one value, so its first entry answers
+        vals = self.vals
+        if len(vals) != self.source.n_letters:
+            return False
+        return bool(np.all((vals[:1] if vals.strides == (0,) else vals) == 1.0))
 
     def image_of(self, letter_id: LetterId) -> LetterId:
         if not self.is_deterministic:
@@ -386,11 +428,10 @@ def _require_derived_size(total: int) -> None:
 def _joint(pvec: np.ndarray, c: Channel) -> np.ndarray:
     """Joint mass ``pvec[c.rows] * c.vals`` of each entry of ``c``.
 
-    With one entry per source and ``vals`` the zero-stride view of 1.0, the
-    entries are the sources in order and the joint is ``pvec`` itself
-    (x * 1.0 == x).
+    With one entry of 1.0 per source, the entries are the sources in order
+    and the joint is ``pvec`` itself (x * 1.0 == x).
     """
-    if len(c.vals) == c.source.n_letters and c.vals.strides == (0,) and c.vals[0] == 1.0:
+    if c.is_deterministic:
         return pvec
     return pvec[c.rows] * c.vals
 
@@ -461,49 +502,6 @@ def bayes_inverse(c: Channel, prior: Pmf) -> Channel:
     return Channel(
         f"bayes({c.id})", c.target, c.source, rows[by_row], cols[by_row], vals[by_row]
     )
-
-
-def _bayes_round_trip(prior: Pmf, c: Channel) -> tuple[Pmf, float]:
-    """``push_forward(prior, c)`` and the potential distortion
-    ``kl_divergence(reconstructed_pmf(prior, c, bayes_inverse(c, prior)),
-    prior)`` from one pass over the forward entries, without building the
-    inverse.
-
-    An entry carries back ``(joint / m) * m``, m its target's marginal, as
-    the inverse's row does; an unreached target's entries carry back 0,
-    where the inverse's prior rows add nothing but the sign of a zero,
-    which reaches no sum. The entries are added per source in ascending target order, as the
-    inverse's rows add them. With one joint mass for every entry (a uniform
-    prior through a deterministic channel) and one carried-back value at
-    every reached target, the reconstruction is that value at every letter:
-    a zero-stride vector, which `kl_divergence` sums without visiting a
-    letter (the barchart's million-letter stage).
-    """
-    pvec, joint, pushed = _forward(prior, c)
-    # when the pushed pmf is not a pmf, that is the first fault to report
-    pushed.require_valid()
-    n = len(pvec)
-    q = None
-    if joint.strides == (0,):
-        # what each reached target carries back, by the ufuncs of the loop
-        # below: the joint mass w > 0 and the marginal m >= w, so v > 0
-        m = pushed.vec[c.counts > 0]
-        v = np.multiply(np.divide(joint[:1], m), m)
-        if (v == v[0]).all():
-            q = _constant(v[0], n)
-    if q is None:
-        # where m = 0 the division is skipped, and 0.0 times 0 is 0. cols
-        # index the target, so "clip" clips nothing; it skips the copy
-        # "raise" makes
-        back, m = np.zeros(len(joint)), np.empty(min(len(joint), _BLOCK))
-        for start in range(0, len(joint), _BLOCK):
-            out = back[start : start + _BLOCK]
-            mb = pushed.vec.take(c.cols[start : start + len(out)], None, m[: len(out)], "clip")
-            np.divide(joint[start : start + len(out)], mb, out, where=mb > 0.0)
-            np.multiply(out, mb, out)
-        # with one entry per source the entries are the sources in order
-        q = back if len(c.vals) == n else _marginal(c.rows, back, n)
-    return pushed, kl_divergence(Pmf._of(c.source.letter_ids, q), prior)
 
 
 def reconstructed_pmf(prior: Pmf, forward: Channel, recon: Channel) -> Pmf:

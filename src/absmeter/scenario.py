@@ -208,7 +208,8 @@ def _positions(alphabet: Alphabet, keys: list) -> list:
     A string or integer key names a letter by its id or, as JSON object keys
     are strings even where an alphabet uses integer ids, by ``int`` of a
     string key or ``str`` of an integer one. A grid's ids are the integers of
-    a range, so its keys are placed by arithmetic on their ``int``.
+    a range, so its keys are placed by arithmetic on their ``int``: when the
+    range is ``range(n)`` and every key is in it, the position is the key.
     """
     if set(map(type, keys)) - {str, int}:
         keys = [
@@ -218,10 +219,13 @@ def _positions(alphabet: Alphabet, keys: list) -> list:
     ids = alphabet.letter_ids
     if isinstance(ids, range):
         try:
-            return list(map(ids.index, map(int, keys)))
-        except (TypeError, ValueError):  # some key names no letter
-            numbers = map(_integer, keys)
-            return [None if k is None or k not in ids else ids.index(k) for k in numbers]
+            found = list(map(int, keys))
+            if ids == range(len(ids)) and 0 <= min(found) and max(found) < len(ids):
+                return found
+        except (TypeError, ValueError):  # some key names no letter, or none is given
+            pass
+        numbers = map(_integer, keys)
+        return [None if k is None or k not in ids else ids.index(k) for k in numbers]
     get = alphabet.pmf._ensure_index().get
     found = list(map(get, keys))
     if None in found:

@@ -8,7 +8,8 @@ instance down both routes.
 
 import numpy as np
 
-from absmeter import Alphabet, Channel, Pmf
+from absmeter import Alphabet, Channel, Pmf, Stage
+from absmeter.costbenefit import _evaluate
 
 
 def uniform(n, tag="x"):
@@ -22,6 +23,22 @@ def identity(alphabet):
     return Channel.deterministic(
         f"identity({alphabet.id})", alphabet, alphabet, dict(zip(ids, ids))
     )
+
+
+def bayes_stage(prior, channel):
+    """The pushed pmf and the potential distortion of a Bayes stage over
+    ``channel`` under ``prior``, as `analyze` evaluates them."""
+    metrics, out = _evaluate(Stage(channel), prior)
+    return out, metrics.potential_distortion
+
+
+def rows_dict(channel):
+    """``channel``'s rows as the oracles' plain dicts, from its entries."""
+    rows = {x: {} for x in channel.source.letter_ids}
+    src, dst = channel.source.letter_ids, channel.target.letter_ids
+    for i, j, v in zip(channel.rows.tolist(), channel.cols.tolist(), channel.vals.tolist()):
+        rows[src[i]][dst[j]] = v
+    return rows
 
 
 def random_weights(rng, n, allow_zeros=True):

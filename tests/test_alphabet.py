@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from builders import uniform
+from builders import bayes_stage, uniform
 from absmeter import (
     Alphabet,
     Channel,
@@ -16,7 +16,6 @@ from absmeter import (
     make_quantized_range,
     push_forward,
 )
-from absmeter.channel import _bayes_round_trip
 
 
 class TestMakeUniform:
@@ -309,7 +308,7 @@ class TestCachingAndCopies:
         b = Alphabet("b", ("b0", "b1"))
         f = Channel.deterministic("f", a, b, {"a0": "b0", "a1": "b0", "a2": "b1", "a3": "b1"})
         made = [a.pmf, b.pmf, make_quantized_range(0, 4, 1).pmf, push_forward(a.pmf, f)]
-        made.append(_bayes_round_trip(a.pmf, f)[0])
+        made.append(bayes_stage(a.pmf, f)[0])
         for pmf in made:
             assert not pmf.vec.flags.writeable
 

@@ -1,18 +1,20 @@
 """Blocked and strided kernels against whole-vector references, bit for bit.
 
-Grid values, the one-entry-per-source Bayes round trip, entropy and the KL
+Grid values, the one-entry-per-source push-forward, entropy and the KL
 divergence work through long vectors one block at a time; a quantizer finds
-the first letter of each level by bracketing it between stride ends and
-bisecting every bracket at once, stores its entries per target as the runs
-those letters bound, and builds its image from the runs only when read.
-Each is compared here with a whole-vector statement of what it computes, at
-lengths around the block boundary and at the barchart's 1,000,001 letters,
-with `np.array_equal` and equal sign bits. A sum's reference is the documented
-order itself: every term first, then `np.add.reduce` over each `_BLOCK`
-slice, the slice sums added in order from 0.0. A uniform prior whose round
-trip carries one value back to every letter is summed in closed form; the
-tests of that path also record which sums ran, so that a silent fall back to
-the per-letter path cannot make a comparison vacuous.
+the first letter of each level by bracketing it around its estimated
+position and bisecting every bracket at once, stores its entries per target
+as the runs those letters bound, and builds its image from the runs only
+when read. Each is compared here with a whole-vector statement of what it
+computes, at lengths around the block boundary and at the barchart's
+1,000,001 letters, with `np.array_equal` and equal sign bits. A sum's
+reference is the documented order itself: every term first, then
+`np.add.reduce` over each `_BLOCK` slice, the slice sums added in order from
+0.0. A Bayes stage's distortion is checked against the 60-digit reference;
+through a deterministic channel it is 0.0, and under a uniform prior it is
+summed in closed form. The tests of that path also record which sums ran,
+so that a silent fall back to the per-letter path cannot make a comparison
+vacuous.
 """
 
 import math
@@ -29,6 +31,7 @@ from absmeter import (
     analyze,
     bayes_inverse,
     channel,
+    costbenefit,
     entropy,
     exemplar,
     kl_divergence,
@@ -37,7 +40,8 @@ from absmeter import (
     push_forward,
 )
 from absmeter.alphabet import _BLOCK, _constant
-from absmeter.channel import _bayes_round_trip, _tally
+from absmeter.channel import _tally
+from builders import bayes_stage
 
 SIZES = [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7, 1_000_001]
 
@@ -122,9 +126,34 @@ def test_quantizer_level_evaluations(monkeypatch, n, pixels):
     # the first call takes the grid's two ends, to find lo and hi
     assert evaluated[0] == 2
     levels = sum(evaluated[1:])
-    # each letter once on a stride of 1; on the barchart, the 31,251 stride
-    # ends and 5 rounds of 1,000 bisections
-    assert levels == n if n < 2 * pixels else levels <= 40_000
+    # each letter once below 2 * pixels; on the barchart, both ends of 1,000
+    # brackets and 2 rounds of 1,000 bisections
+    assert levels == n if n < 2 * pixels else levels <= 6_000
+
+
+@pytest.mark.parametrize("lo", [1e15, -1e15])
+def test_quantizer_brackets_that_miss_are_widened(monkeypatch, lo):
+    # at 1e15 a step of 0.01 rounds to multiples of 0.125, so the levels
+    # fall far from the positions the step predicts: every bracket misses
+    # and is bisected over the whole grid, still to the formula's levels
+    n, pixels = 100_001, 1001
+    source = grid(lo, 0.01, n)
+    values = source.values
+    lo_v, hi_v = float(values[0]), float(values[-1])
+    expected = np.floor((values - lo_v) * ((pixels - 1) / (hi_v - lo_v)) + 0.5).astype(np.intp)
+    evaluated = []
+    grid_values = channel._grid_values
+
+    def counted(grid, k):
+        evaluated.append(len(k))
+        return grid_values(grid, k)
+
+    monkeypatch.setattr(channel, "_grid_values", counted)
+    c = Channel.quantizer("q", source, make_quantized_range(0, pixels - 1, 1), pixels)
+    assert np.array_equal(c.counts, np.bincount(expected, minlength=pixels))
+    # after the grid's two ends: both ends of every bracket, then as many
+    # rounds of bisection as a bracket over the whole grid takes
+    assert evaluated[1:] == [pixels - 1] * (2 + (n - 2).bit_length())
 
 
 def test_barchart_makes_no_long_bincount(monkeypatch):
@@ -158,12 +187,13 @@ def blocks_visited(monkeypatch):
         return ordered_sum(recorded, *vecs)
 
     monkeypatch.setattr(alphabet, "_ordered_sum", counted)
+    monkeypatch.setattr(costbenefit, "_ordered_sum", counted)
     return visited
 
 
 def test_barchart_makes_no_per_letter_sum(blocks_visited):
-    # the million-letter plot stage carries every letter back as one value,
-    # so no sum of analyze visits a block of letters
+    # the million-letter plot stage's prior and deficits are each one
+    # value, so no sum of analyze visits a block of letters
     scenario = loads_scenario(exemplar("barchart").to_json())
     blocks_visited.clear()
     analyze(scenario)
@@ -197,12 +227,9 @@ def reference_kl(qv, pv):
     return reference_sum(terms)
 
 
-def reference_round_trip(pvec, c):
+def reference_marginal(pvec, c):
     joint = pvec * np.ascontiguousarray(c.vals)
-    marginal = np.bincount(c.cols, weights=joint, minlength=c.target.n_letters)
-    m = marginal[c.cols]
-    back = np.divide(joint, m, out=np.zeros_like(joint), where=m > 0.0)
-    return marginal, back * m + 0.0
+    return np.bincount(c.cols, weights=joint, minlength=c.target.n_letters)
 
 
 def quantizer_onto_1001(n, vals="ones-view"):
@@ -221,10 +248,14 @@ def test_one_entry_per_source_round_trip(n, vals):
     pvec = prior_with_zeros(n, seed=n)
     assert np.signbit(pvec[pvec == 0.0]).any()
     prior = Pmf.from_vector(c.source.letter_ids, pvec)
-    out, pd = _bayes_round_trip(prior, c)
-    marginal, q = reference_round_trip(pvec, c)
-    assert same_bits(out.vec, marginal)
-    assert same_bits(pd, kl_divergence(Pmf.from_vector(c.source.letter_ids, q), prior))
+    out, pd = bayes_stage(prior, c)
+    assert same_bits(out.vec, reference_marginal(pvec, c))
+    if vals == "ones-view":
+        assert same_bits(pd, 0.0)
+    else:
+        # every row sums to 1 - 2**-52
+        rows = {x: {0: 1.0 - 2.0**-52} for x in range(n)}
+        assert pd < 0.0 and oracles.bayes_distortion_agrees(pd, dict(enumerate(pvec.tolist())), rows)
 
 
 def pmf_pair(n, support):
@@ -345,9 +376,9 @@ def test_uniform_pmf_is_one_value(blocks_visited, n):
     for kind in KINDS:
         c = one_entry_per_source(n, kind)
         assert same_bits(push_forward(uniform, c).vec, push_forward(dense, c).vec)
-        (out, pd), (dense_out, dense_pd) = _bayes_round_trip(uniform, c), _bayes_round_trip(dense, c)
+        (out, pd), (dense_out, dense_pd) = bayes_stage(uniform, c), bayes_stage(dense, c)
         assert same_bits(out.vec, dense_out.vec)
-        assert same_bits(pd, dense_pd)
+        assert same_bits(pd, dense_pd) and same_bits(pd, 0.0)
         # an unreached target gets the prior as its inverse row: keep those few
         unreached = c.target.n_letters - np.count_nonzero(out.vec)
         assert unreached > 0 or kind != "map-sparse"
@@ -371,23 +402,25 @@ def nonzero_term_counts(n, most):
 
 @pytest.fixture
 def sums_taken(monkeypatch):
-    """The divergences the Bayes round trip takes, in order: ("closed", n)
-    of a reconstruction that is one value at its n letters (a zero-stride
-    vector), ("letters", n) of one that is summed letter by letter."""
+    """The sums a Bayes stage's distortion takes, in order: ("closed", n)
+    of n terms that are one value (every vector zero-stride), ("letters", n)
+    of n terms summed letter by letter."""
     taken = []
-    divergence = channel.kl_divergence
+    ordered_sum = costbenefit._ordered_sum
 
-    def recorded(q, p):
-        taken.append(("closed" if q.vec.strides == (0,) else "letters", len(p)))
-        return divergence(q, p)
+    def recorded(block, *vecs):
+        closed = all(v.strides == (0,) for v in vecs)
+        taken.append(("closed" if closed else "letters", len(vecs[0])))
+        return ordered_sum(block, *vecs)
 
-    monkeypatch.setattr(channel, "kl_divergence", recorded)
+    monkeypatch.setattr(costbenefit, "_ordered_sum", recorded)
     return taken
 
 
 def carried_back(n, counts):
     """The distinct masses that a uniform prior 1/n carries back through
-    targets of the entry counts that occur in ``counts``."""
+    targets of the entry counts that occur in ``counts``, as (w / m) * m of
+    each target's marginal m."""
     w = 1 / n
     occurring = np.unique(counts[counts > 0])
     sums = np.add.accumulate(np.concatenate([[0.0], np.full(occurring.max(), w)]))[occurring]
@@ -402,29 +435,27 @@ def uniform_and_dense(n):
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("kind", KINDS)
 def test_uniform_round_trip_sums_one_value_in_closed_form(sums_taken, n, kind):
-    # where every reached target carries back one value, the uniform prior's
-    # reconstruction is that value at every letter, and its mass and
-    # distortion are summed without visiting a letter; the dense prior's
-    # per-letter result must have the same bits
+    # every row of a deterministic channel sums to exactly 1, so its
+    # deficits are one value, 0.0: the uniform prior's distortion is summed
+    # without visiting a letter, and the dense prior's per-letter result
+    # must have the same bits, 0.0
     c = one_entry_per_source(n, kind)
     uniform, dense = uniform_and_dense(n)
-    dense_out, dense_pd = _bayes_round_trip(dense, c)
+    dense_out, dense_pd = bayes_stage(dense, c)
     assert sums_taken == [("letters", n)]
     sums_taken.clear()
-    out, pd = _bayes_round_trip(uniform, c)
-    closed = len(carried_back(n, c.counts)) == 1
-    # two shuffled maps onto 17 targets mix their values; the rest do not
-    assert closed or kind == "map-dense"
-    assert sums_taken == ([("closed", n)] if closed else [("letters", n)])
+    out, pd = bayes_stage(uniform, c)
+    assert sums_taken == [("closed", n)]
     assert same_bits(out.vec, dense_out.vec)
-    assert same_bits(pd, dense_pd)
+    assert same_bits(pd, dense_pd) and same_bits(pd, 0.0)
 
 
 @pytest.mark.parametrize("start", [1000, _BLOCK + 1, 3 * _BLOCK])
 def test_one_count_everywhere_carries_back_one_value_off_the_prior(sums_taken, start):
-    # every target has the same entry count j, one that carries 1/n back as
-    # a value one unit off it: the reconstruction is still one value, now
-    # with a nonzero term at every letter
+    # every target has the same entry count j, one whose marginal carries
+    # 1/n back as (w / m) * m one unit off it. A reconstruction carried back
+    # so would differ from the prior at every letter; the measure takes the
+    # rows' sums, exactly 1, and is 0.0 in closed form
     n, j = next(
         (n, j) for n in range(start, start + 500) for j in nonzero_term_counts(n, 64) if n % j == 0
     )
@@ -432,21 +463,20 @@ def test_one_count_everywhere_carries_back_one_value_off_the_prior(sums_taken, s
     target = make_quantized_range(0, n // j - 1, 1)
     c = Channel._from_map("m", make_quantized_range(0, n - 1, 1), target, np.arange(n), image)
     uniform, dense = uniform_and_dense(n)
-    (out, pd), (dense_out, dense_pd) = _bayes_round_trip(uniform, c), _bayes_round_trip(dense, c)
+    (out, pd), (dense_out, dense_pd) = bayes_stage(uniform, c), bayes_stage(dense, c)
     assert sums_taken == [("closed", n), ("letters", n)]
     assert len(carried_back(n, c.counts)) == 1 and carried_back(n, c.counts) != {1 / n}
-    assert pd != 0.0
     assert same_bits(out.vec, dense_out.vec)
-    assert same_bits(pd, dense_pd)
+    assert same_bits(pd, dense_pd) and same_bits(pd, 0.0)
 
 
 @pytest.mark.parametrize("start", [1000, _BLOCK + 1, 3 * _BLOCK])
 def test_uniform_round_trip_adds_its_terms_in_entry_order(sums_taken, start):
-    # Through a deterministic channel a uniform prior comes back almost
-    # exactly: most terms are 0.0, and the rest are tiny, from a target whose
-    # entry count leaves (w / m) * m one unit off w. Targets whose counts mix
-    # such counts with others, their entries shuffled, make the distortion's
-    # bits follow the order in which its terms are added.
+    # Targets whose counts mix entry counts that carry 1/n back one unit
+    # off with others, their entries shuffled, would make a carried-back
+    # reconstruction's bits follow the order of its terms. The pushed pmf
+    # still adds its entries in entry order, with the dense prior's bits;
+    # the distortion is 0.0, summed in closed form.
     n, hits = next((n, j) for n in range(start, start + 500) if len(j := nonzero_term_counts(n, 64)))
     uniform = Alphabet("x", range(n)).pmf
     dense = Pmf.from_vector(uniform.ids, np.full(n, 1 / n))
@@ -458,14 +488,12 @@ def test_uniform_round_trip_adds_its_terms_in_entry_order(sums_taken, start):
         target = make_quantized_range(0, len(counts) - 1, 1)
         c = Channel._from_map("m", make_quantized_range(0, n - 1, 1), target, np.arange(n), image)
         sums_taken.clear()
-        out, pd = _bayes_round_trip(uniform, c)
-        # mixed values: no closed form, the uniform prior's distortion is
-        # summed letter by letter as the dense prior's is
-        assert sums_taken == [("letters", n)]
-        dense_out, dense_pd = _bayes_round_trip(dense, c)
-        assert pd != 0.0
+        out, pd = bayes_stage(uniform, c)
+        assert sums_taken == [("closed", n)]
+        assert len(carried_back(n, c.counts)) > 1
+        dense_out, dense_pd = bayes_stage(dense, c)
         assert same_bits(out.vec, dense_out.vec)
-        assert same_bits(pd, dense_pd)
+        assert same_bits(pd, dense_pd) and same_bits(pd, 0.0)
 
 
 @pytest.mark.parametrize("w", [1 / 3, 0.1, 1 / 1_000_001, 5e-324, 1e300, -0.0, -0.25, math.nan])

@@ -28,7 +28,7 @@ from absmeter.channel import (
     MAX_DETERMINISTIC_LETTERS,
     MAX_STOCHASTIC_ENTRIES,
     MAX_STOCHASTIC_LETTERS,
-    _bayes_round_trip,
+    ROW_MASS_TOLERANCE,
 )
 
 
@@ -41,6 +41,30 @@ class TestConstruction:
         a, b = uniform(3, "a"), uniform(2, "b")
         with pytest.raises(ValueError, match="no image"):
             Channel.deterministic("f", a, b, {"a0": "b0", "a1": "b1"})
+
+    def test_a_row_sum_at_the_tolerance_is_decided_exactly(self):
+        # rows scaled to 1 + 1e-9 whose sum, added up in entry order, falls
+        # on the other side of the tolerance from their exact sum: the exact
+        # sum decides, as it does for the deficit a distortion reads
+        rng = np.random.default_rng(1)
+        a, decided = uniform(1, "a"), set()
+        for _ in range(2000):
+            k = int(rng.integers(3, 40))
+            w = rng.random(k)
+            w = w / w.sum() * (1 + ROW_MASS_TOLERANCE)
+            rounded = abs(np.add.accumulate(w)[-1] - 1.0) <= ROW_MASS_TOLERANCE
+            exact = abs(math.fsum(w.tolist() + [-1.0])) <= ROW_MASS_TOLERANCE
+            if rounded == exact:
+                continue
+            decided.add(exact)
+            b = uniform(k, "b")
+            rows = {"a0": dict(zip(b.letter_ids, w.tolist()))}
+            if exact:
+                assert abs(Channel.stochastic("s", a, b, rows).deficit[0]) <= ROW_MASS_TOLERANCE
+            else:
+                with pytest.raises(ValueError, match="row 'a0' sums to"):
+                    Channel.stochastic("s", a, b, rows)
+        assert decided == {True, False}
 
     def test_deterministic_rejects_unknown_letters(self):
         a, b = uniform(2, "a"), uniform(2, "b")
@@ -245,6 +269,19 @@ class TestQuantizer:
             assert plot.image_of(plot.source.letter_ids[int(i)]) == want
         assert plot._cols is None
 
+    def test_image_of_makes_no_per_letter_array(self):
+        # is_deterministic reads the first entry of the zero-stride vals;
+        # comparing all 1,000,001 of them with 1.0 makes a 0.95 MiB bool array
+        plot = loads_scenario(exemplar("barchart").to_json()).channels["plot"]
+        tracemalloc.start()
+        try:
+            plot.image_of(500_000)
+            assert plot.is_deterministic and "deterministic" in repr(plot)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
     def test_single_pixel_collapses_everything(self):
         src = make_quantized_range(0, 9, 1, id="vals")
         dst = uniform(1, "px")
@@ -334,7 +371,9 @@ class TestReconstruction:
 
     def test_round_trip_without_inverse_is_bit_identical(self):
         # criterion 6's channel shapes, every third one composed through a
-        # middle alphabet; odd trials keep every prior letter
+        # middle alphabet; odd trials keep every prior letter. The pushed pmf
+        # has push_forward's bits, and the distortion is the 60-digit
+        # reference's, 0.0 through a map
         rng = np.random.default_rng(0x5EED06)
         for trial in range(300):
             src = builders.random_alphabet(rng, int(rng.integers(2, 49)), "s")
@@ -343,18 +382,20 @@ class TestReconstruction:
                 mid = builders.random_alphabet(rng, int(rng.integers(1, 49)), "m")
                 _, first = builders.random_channel(rng, src, mid)
                 _, second = builders.random_channel(rng, mid, dst)
-                ch = Channel.stochastic("c", src, dst, oracles.compose_rows(first, second))
+                rows = oracles.compose_rows(first, second)
+                ch = Channel.stochastic("c", src, dst, rows)
             else:
-                ch, _ = builders.random_channel(rng, src, dst)
-            prior, _ = builders.random_prior(rng, src, allow_zeros=trial % 2 == 0)
-            pushed, pd = _bayes_round_trip(prior, ch)
-            assert pd == reference_distortion(prior, ch), trial
+                ch, rows = builders.random_channel(rng, src, dst)
+            prior, prior_d = builders.random_prior(rng, src, allow_zeros=trial % 2 == 0)
+            pushed, pd = builders.bayes_stage(prior, ch)
+            assert oracles.bayes_distortion_agrees(pd, prior_d, rows), trial
+            assert pd == 0.0 or not ch.is_deterministic, trial
             assert np.array_equal(pushed.vec, push_forward(prior, ch).vec), trial
 
     @pytest.mark.parametrize("kind", ["quantizer", "map", "near-one"])
     def test_one_entry_per_source_round_trip_is_bit_identical(self, kind):
         # priors with zeros, half of them -0.0; signbit pins that the
-        # reconstruction keeps +0.0 where the inverse's sum would
+        # pushed pmf keeps the signs push_forward gives
         rng = np.random.default_rng(0x1E5)
         for trial in range(40):
             n = int(rng.integers(2, 41))
@@ -373,37 +414,51 @@ class TestReconstruction:
             vec = builders.random_weights(rng, n)
             vec[(vec == 0.0) & (np.arange(n) % 2 == 0)] = -0.0
             prior = Pmf.from_vector(src.letter_ids, vec)
-            pushed, pd = _bayes_round_trip(prior, ch)
+            pushed, pd = builders.bayes_stage(prior, ch)
             want = push_forward(prior, ch).vec
             assert np.array_equal(pushed.vec, want), trial
             assert np.array_equal(np.signbit(pushed.vec), np.signbit(want)), trial
-            assert pd == reference_distortion(prior, ch), trial
+            prior_d = dict(zip(src.letter_ids, vec.tolist()))
+            assert oracles.bayes_distortion_agrees(pd, prior_d, builders.rows_dict(ch)), trial
+            if kind == "near-one":
+                # rows that sum below 1 carry back less than the prior
+                assert pd < 0.0, trial
+            else:
+                assert pd == 0.0 and math.copysign(1.0, pd) == 1.0, trial
 
     @pytest.mark.parametrize(
-        "n_src, rows, cols, vals, scale",
+        "n_src, rows, cols, vals, scale, row_words",
         [
-            # pushed [2/3, 1/3] is a pmf, the reconstruction has -1/6 at s0
-            (3, None, [0, 0, 1], [-0.5, 2.5, 1.0], 1.0),
-            # pushed [1/4, 3/4] is a pmf, the reconstruction has -1/4 at s0
-            (2, [0, 1, 1], [0, 0, 1], [-0.5, 1.0, 1.5], 1.0),
+            # pushed [2/3, 1/3] is a pmf; row s0 sums to -0.5
+            (3, None, [0, 0, 1], [-0.5, 2.5, 1.0], 1.0, True),
+            # pushed [1/4, 3/4] is a pmf; row s0 sums to -0.5
+            (2, [0, 1, 1], [0, 0, 1], [-0.5, 1.0, 1.5], 1.0, True),
             # prior and rows 8e-10 heavy: the pushed mass is off, reported first
-            (4, None, [0, 0, 1, 1], [1.0 + 8e-10] * 4, 1.0 + 8e-10),
+            (4, None, [0, 0, 1, 1], [1.0 + 8e-10] * 4, 1.0 + 8e-10, False),
             # pushed [1, -1/4] is refused, though the reconstruction [1, 0] is a pmf
-            (2, None, [0, 1], [2.0, -0.5], 1.0),
+            (2, None, [0, 1], [2.0, -0.5], 1.0, False),
         ],
         ids=["map-negative", "stochastic-negative", "pushed-mass", "pushed-negative"],
     )
-    def test_round_trip_checks_what_it_carries_back(self, n_src, rows, cols, vals, scale):
-        # channels built around the declared-row checks; the round trip
-        # refuses them in the words of the reference computation
+    def test_round_trip_checks_what_it_carries_back(
+        self, n_src, rows, cols, vals, scale, row_words
+    ):
+        # channels built around the declared-row checks. A pushed pmf that
+        # is not a pmf is refused first, in the words of the reference
+        # computation; a row outside the tolerance then, in `_from_rows`'
         src, dst = uniform(n_src, "s"), uniform(2, "d")
         rows = None if rows is None else np.array(rows)
         ch = Channel("c", src, dst, rows, np.array(cols), np.array(vals))
         prior = Pmf.from_vector(src.letter_ids, np.full(n_src, scale / n_src))
+        with pytest.raises(ValueError) as got:
+            builders.bayes_stage(prior, ch)
+        if row_words:
+            assert str(got.value) == (
+                f"channel 'c': row 's0' sums to -0.5 (expected 1 within {ROW_MASS_TOLERANCE})"
+            )
+            return
         with pytest.raises(ValueError) as expected:
             reference_distortion(prior, ch)
-        with pytest.raises(ValueError) as got:
-            _bayes_round_trip(prior, ch)
         assert str(got.value) == str(expected.value)
         assert str(got.value).startswith("invalid pmf: ")
 

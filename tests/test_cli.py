@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+import oracles
 from absmeter.cli import main
 
 MODULE = [sys.executable, "-m", "absmeter"]
@@ -117,7 +118,55 @@ BAD_GUESS = {
 }
 
 
+def heavy(prior_scale):
+    """Four letters of prior mass ``prior_scale`` / 4 through rows that each
+    sum to 1 + 0.9e-9, inside the declared rows' tolerance, to a Bayes stage."""
+    h = 1.0 + 0.9e-9
+    return {
+        "alphabets": [
+            {
+                "id": "a",
+                "letters": [{"id": f"x{i}", "probability": prior_scale / 4} for i in range(4)],
+            },
+            {"id": "b", "uniform_count": 2},
+        ],
+        "channels": [
+            {
+                "id": "c",
+                "from": "a",
+                "to": "b",
+                "stochastic": {"rows": {f"x{i}": {"0": h / 2, "1": h / 2} for i in range(4)}},
+            }
+        ],
+        "stages": [{"id": "s", "forward": "c", "cost": 1.0}],
+    }
+
+
 class TestAnalyze:
+    def test_heavy_rows_give_the_measure(self, tmp_path, capsys):
+        # the pushed pmf holds 1 + 0.9e-9 and is a pmf; the distortion is
+        # sum p s log2 s of the rows as declared, to the reference's digits
+        target = tmp_path / "heavy.json"
+        data = heavy(1.0)
+        target.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run_cli(["analyze", str(target), "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        pd = json.loads(out)["stages"][0]["potential_distortion_bits"]
+        prior = {f"x{i}": 0.25 for i in range(4)}
+        rows = data["channels"][0]["stochastic"]["rows"]
+        assert 1.2e-9 < pd < 1.4e-9
+        assert oracles.bayes_distortion_agrees(pd, prior, rows)
+
+    def test_heavy_prior_and_rows_are_refused_at_the_pushed_pmf(self, tmp_path, capsys):
+        # the prior holds 1 + 0.9e-9 too, so the pushed pmf, whose mass is
+        # sum p s as the reconstruction's is, holds about 1 + 1.8e-9: the
+        # first fault, reported before any distortion is taken
+        target = tmp_path / "heavy.json"
+        target.write_text(json.dumps(heavy(1.0 + 0.9e-9)), encoding="utf-8")
+        code, out, err = run_cli(["analyze", str(target)], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: invalid pmf: mass sums to 1.0000000018000001 (expected 1 within 1e-09)\n"
+
     def test_table_on_route_fixture(self, fixtures_dir, capsys):
         path = str(fixtures_dir / "route_premises_hold.json")
         code, out, err = run_cli(["analyze", path], capsys)

@@ -9,11 +9,14 @@ the stochastic loader at the 4096-letter limit. The expected bytes live in
 
 The bytes may not depend on the machine's threads: `python -m absmeter
 analyze` reproduces the goldens under every OpenBLAS thread count tried.
+Every Bayes distortion that `analyze` takes on these scenarios is also
+checked against the 60-digit reference of `oracles.bayes_distortion_bits`.
 """
 
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,7 +24,9 @@ from pathlib import Path
 
 import pytest
 
-from absmeter import EXEMPLAR_NAMES, analyze, exemplar, load_scenario, loads_scenario
+import builders
+import oracles
+from absmeter import EXEMPLAR_NAMES, analyze, costbenefit, exemplar, load_scenario, loads_scenario
 from absmeter.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -77,6 +82,30 @@ def _expected(filename: str) -> str:
 def test_analyze_output_is_pinned(name):
     for filename, text in rendered(name).items():
         assert text == _expected(filename), filename
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_every_bayes_distortion_agrees_with_the_decimal_reference(name, monkeypatch):
+    # each Bayes stage evaluation of the analysis, under the pmf it was
+    # given, to 13 significant digits; through a map or a quantizer the
+    # distortion is exactly 0.0
+    taken = []
+    evaluate = costbenefit._evaluate
+
+    def recorded(stage, prior):
+        metrics, out = evaluate(stage, prior)
+        if isinstance(stage.recon, str):
+            taken.append((stage.forward, prior, metrics.potential_distortion))
+        return metrics, out
+
+    monkeypatch.setattr(costbenefit, "_evaluate", recorded)
+    analyze(_load(name))
+    for forward, prior, pd in taken:
+        if forward.is_deterministic:
+            assert pd == 0.0 and math.copysign(1.0, pd) == 1.0, forward.id
+        else:
+            want = oracles.bayes_distortion_bits(dict(prior.items()), builders.rows_dict(forward))
+            assert abs(pd - want) <= 1e-13 * abs(want), forward.id
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "4"])
