@@ -17,14 +17,16 @@ read those descriptions.
 
 Rendering is deterministic byte for byte. The machine formats (json, csv)
 carry full float precision and spell infinities "+inf"/"-inf"; the table
-format rounds to four decimals for reading.
+format rounds to four decimals for reading. The JSON body is written by
+`scenario._dumps`, which writes every declaration too: the bytes of
+`json.dumps` with sorted keys and two-space indentation, each object or list
+that holds no object or list encoded by the standard library's C encoder.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -32,7 +34,7 @@ from typing import Iterable
 from .alphabet import entropy
 from .axis import AbstractionAxis, detect_fork
 from .costbenefit import StageMetrics, _Evaluator
-from .scenario import Scenario
+from .scenario import Scenario, _dumps
 
 
 @dataclass
@@ -49,7 +51,7 @@ class Report:
         return to_text(self)
 
     def to_json(self) -> str:
-        return json.dumps(_jsonable(self.body), indent=2, sort_keys=True) + "\n"
+        return _dumps(_jsonable(self.body)) + "\n"
 
     def to_csv(self) -> str:
         out = io.StringIO()

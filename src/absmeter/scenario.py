@@ -21,12 +21,14 @@ that fail the bulk check are checked one at a time, by `_as_number` or
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
-from operator import add
+from operator import add, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -62,6 +64,7 @@ _TOP_KEYS = (
     "axes",
     "meta",
 )
+_LETTER_KEYS = {"id", "probability", "label"}
 
 
 class ScenarioError(ValueError):
@@ -341,7 +344,59 @@ class Scenario:
 
     def to_json(self) -> str:
         """Canonical serialization; stable byte-for-byte across runs."""
-        return json.dumps(self.declaration, indent=2, sort_keys=True) + "\n"
+        return _dumps(self.declaration) + "\n"
+
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_INDENT = "  "
+
+
+@functools.cache
+def _flat_encoder(depth: int) -> Callable[[Any], str]:
+    """One C-encoder call writing a container at ``depth`` that holds no
+    container: its item separator carries the next line's indentation."""
+    pad = _INDENT * (depth + 1)
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + pad, ": ")).encode
+
+
+def _key(key: Any) -> str:
+    """An object key as `json` spells it: a string, or the text of a number,
+    true, false or null, as a string."""
+    if isinstance(key, str):
+        return json.dumps(key)
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _dumps(value: Any, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+
+    With ``indent`` set, `json` before Python 3.13 encodes in Python, one
+    generator frame per container. Here a container that holds no container
+    is encoded in one call of the C encoder (`_flat_encoder`), and only a
+    container of containers is joined in Python: its items sorted as `json`
+    sorts them, ``sorted(dct.items())``.
+    """
+    if isinstance(value, dict):
+        children, brackets = value.values(), "{}"
+    elif isinstance(value, (list, tuple)):
+        children, brackets = value, "[]"
+    else:
+        return json.dumps(value)
+    if not value:
+        return brackets
+    pad = "\n" + _INDENT * depth
+    if set(map(type, children)) <= _SCALARS:
+        text = _flat_encoder(depth)(value)[1:-1]
+    else:
+        inner = depth + 1
+        if brackets == "{}":
+            items = [f"{_key(k)}: {_dumps(v, inner)}" for k, v in sorted(value.items())]
+        else:
+            items = [_dumps(v, inner) for v in value]
+        text = (",\n" + _INDENT * inner).join(items)
+    return f"{brackets[0]}{pad}{_INDENT}{text}{pad}{brackets[1]}"
 
 
 def _build_alphabet(decl: Any, path: str) -> Alphabet:
@@ -371,29 +426,51 @@ def _build_alphabet(decl: Any, path: str) -> Alphabet:
     entries = _get(decl, "letters", path, _as_list)
     if not entries:
         _fail(f"{path}.letters", "alphabet needs at least one letter")
-    ids: list[LetterId] = []
-    probs: list[float | None] = []
+    ids, probs = _letter_entries(entries, f"{path}.letters")
+    with _at(path):
+        # Alphabet refuses repeated ids, the pmf's too: it keeps these ids
+        pmf = None if probs is None else Pmf._of(ids, np.array(probs))
+        built = Alphabet(aid, ids, pmf)
+    _require_pmf(built.pmf, path)
+    return built
+
+
+def _letter_entries(entries: list, path: str) -> tuple[tuple, list | None]:
+    """The ids of an explicit alphabet's letter ``entries``, listed at
+    ``path``, and their probabilities, or None where no letter carries one.
+
+    The entries are checked in bulk, as `_numbers` and `_objects` check
+    values: all objects, each with an id, no other keys than a probability
+    and a label, ids of str or int, labels non-empty str, probabilities on
+    every letter or none. Where any of that misses, they are checked one at
+    a time, to report the first fault at its path in its words.
+    """
+    n = len(entries)
+    keys = Counter(chain.from_iterable(entries)) if set(map(type, entries)) <= {dict} else {}
+    with_probability = keys.get("probability", 0)
+    if keys.get("id") == n and with_probability in (0, n) and keys.keys() <= _LETTER_KEYS:
+        ids = tuple(map(itemgetter("id"), entries))
+        labels = [entry["label"] for entry in entries if "label" in entry]
+        typed = set(map(type, ids)) <= {str, int} and set(map(type, labels)) <= {str}
+        if typed and "" not in labels:
+            if not with_probability:
+                return ids, None
+            probs = list(map(itemgetter("probability"), entries))
+            return ids, _numbers(probs, lambda i: f"{path}[{i}].probability")
+    ids_found: list[LetterId] = []
+    probs_found: list[float | None] = []
     for i, entry in enumerate(entries):
-        epath = f"{path}.letters[{i}]"
+        epath = f"{path}[{i}]"
         entry = _open(entry, epath, ("id",), ("probability", "label"))
         lid = entry["id"]
         if isinstance(lid, bool) or not isinstance(lid, (str, int)):
             _fail(f"{epath}.id", f"letter id must be a string or integer, got {lid!r}")
         _get(entry, "label", epath, _as_str)  # kept in the declaration only
-        ids.append(lid)
-        probs.append(_get(entry, "probability", epath, _as_number))
-    if probs.count(None) not in (0, len(probs)):
-        _fail(
-            f"{path}.letters",
-            "either every letter carries a probability or none do",
-        )
-    ids = tuple(ids)
-    with _at(path):
-        # Alphabet refuses repeated ids, the pmf's too: it keeps these ids
-        pmf = None if probs[0] is None else Pmf._of(ids, np.array(probs))
-        built = Alphabet(aid, ids, pmf)
-    _require_pmf(built.pmf, path)
-    return built
+        ids_found.append(lid)
+        probs_found.append(_get(entry, "probability", epath, _as_number))
+    if probs_found.count(None) not in (0, n):
+        _fail(path, "either every letter carries a probability or none do")
+    return tuple(ids_found), None if probs_found[0] is None else probs_found
 
 
 def _build_channel(decl: Any, path: str, alphabets: dict[str, Alphabet]) -> Channel:

@@ -8,9 +8,11 @@
 # into words. The arguments name the parts to run, goldens and refusals
 # (default: both). Any failed check ends the script with a nonzero status.
 #
-# goldens:  every golden report is reproduced byte for byte, with the
-#           OpenBLAS thread count unset and again with one thread; a numpy
-#           divide or log warning fails the run instead of passing silently.
+# goldens:  every golden report is reproduced byte for byte, and every
+#           exemplar declaration equals json.dumps(..., indent=2,
+#           sort_keys=True) of it, with the OpenBLAS thread count unset and
+#           again with one thread; a numpy divide or log warning fails the
+#           run instead of passing silently.
 # refusals: each malformed declaration exits 1 with exactly one error line
 #           naming its JSON path, never a traceback or exit 2.
 set -eu -o pipefail
@@ -27,6 +29,9 @@ goldens() {
   for threads in unset 1; do
     if [ "$threads" = 1 ]; then export OPENBLAS_NUM_THREADS=1; fi
     for name in barchart integer-plot random-plotter figure-scores; do
+      python -c "import json, sys; from absmeter import exemplar; print(json.dumps(exemplar(sys.argv[1]).declaration, indent=2, sort_keys=True))" "$name" \
+        > "$tmp/$name.declaration.json"
+      "${absmeter[@]}" exemplar "$name" | diff - "$tmp/$name.declaration.json"
       for format in json:json csv:csv table:txt; do
         "${absmeter[@]}" exemplar "$name" | "${absmeter[@]}" analyze - --format "${format%%:*}" \
           | diff - "tests/golden/$name.${format##*:}"
