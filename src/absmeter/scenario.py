@@ -25,10 +25,9 @@ import functools
 import json
 import math
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
-from operator import add, itemgetter
+from operator import add
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -64,7 +63,6 @@ _TOP_KEYS = (
     "axes",
     "meta",
 )
-_LETTER_KEYS = {"id", "probability", "label"}
 
 
 class ScenarioError(ValueError):
@@ -426,51 +424,29 @@ def _build_alphabet(decl: Any, path: str) -> Alphabet:
     entries = _get(decl, "letters", path, _as_list)
     if not entries:
         _fail(f"{path}.letters", "alphabet needs at least one letter")
-    ids, probs = _letter_entries(entries, f"{path}.letters")
-    with _at(path):
-        # Alphabet refuses repeated ids, the pmf's too: it keeps these ids
-        pmf = None if probs is None else Pmf._of(ids, np.array(probs))
-        built = Alphabet(aid, ids, pmf)
-    _require_pmf(built.pmf, path)
-    return built
-
-
-def _letter_entries(entries: list, path: str) -> tuple[tuple, list | None]:
-    """The ids of an explicit alphabet's letter ``entries``, listed at
-    ``path``, and their probabilities, or None where no letter carries one.
-
-    The entries are checked in bulk, as `_numbers` and `_objects` check
-    values: all objects, each with an id, no other keys than a probability
-    and a label, ids of str or int, labels non-empty str, probabilities on
-    every letter or none. Where any of that misses, they are checked one at
-    a time, to report the first fault at its path in its words.
-    """
-    n = len(entries)
-    keys = Counter(chain.from_iterable(entries)) if set(map(type, entries)) <= {dict} else {}
-    with_probability = keys.get("probability", 0)
-    if keys.get("id") == n and with_probability in (0, n) and keys.keys() <= _LETTER_KEYS:
-        ids = tuple(map(itemgetter("id"), entries))
-        labels = [entry["label"] for entry in entries if "label" in entry]
-        typed = set(map(type, ids)) <= {str, int} and set(map(type, labels)) <= {str}
-        if typed and "" not in labels:
-            if not with_probability:
-                return ids, None
-            probs = list(map(itemgetter("probability"), entries))
-            return ids, _numbers(probs, lambda i: f"{path}[{i}].probability")
-    ids_found: list[LetterId] = []
-    probs_found: list[float | None] = []
+    ids: list[LetterId] = []
+    probs: list[float | None] = []
     for i, entry in enumerate(entries):
-        epath = f"{path}[{i}]"
+        epath = f"{path}.letters[{i}]"
         entry = _open(entry, epath, ("id",), ("probability", "label"))
         lid = entry["id"]
         if isinstance(lid, bool) or not isinstance(lid, (str, int)):
             _fail(f"{epath}.id", f"letter id must be a string or integer, got {lid!r}")
         _get(entry, "label", epath, _as_str)  # kept in the declaration only
-        ids_found.append(lid)
-        probs_found.append(_get(entry, "probability", epath, _as_number))
-    if probs_found.count(None) not in (0, n):
-        _fail(path, "either every letter carries a probability or none do")
-    return tuple(ids_found), None if probs_found[0] is None else probs_found
+        ids.append(lid)
+        probs.append(_get(entry, "probability", epath, _as_number))
+    if probs.count(None) not in (0, len(probs)):
+        _fail(
+            f"{path}.letters",
+            "either every letter carries a probability or none do",
+        )
+    ids = tuple(ids)
+    with _at(path):
+        # Alphabet refuses repeated ids, the pmf's too: it keeps these ids
+        pmf = None if probs[0] is None else Pmf._of(ids, np.array(probs))
+        built = Alphabet(aid, ids, pmf)
+    _require_pmf(built.pmf, path)
+    return built
 
 
 def _build_channel(decl: Any, path: str, alphabets: dict[str, Alphabet]) -> Channel:

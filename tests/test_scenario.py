@@ -28,15 +28,7 @@ from absmeter import (
 )
 from absmeter.channel import MAX_STOCHASTIC_ENTRIES
 from absmeter.cli import main
-from absmeter.scenario import (
-    _as_number,
-    _as_obj,
-    _by_position,
-    _letter_entries,
-    _letters,
-    _numbers,
-    _objects,
-)
+from absmeter.scenario import _as_number, _as_obj, _by_position, _letters, _numbers, _objects
 
 
 def minimal() -> dict:
@@ -584,86 +576,6 @@ class TestBulkKeysAgreeEntryByEntry:
         expected = entry_by_entry(alphabet, objects, _as_number)
         try:
             got = _by_position(alphabet, rows, "p", _numbers, nested=True)
-        except ScenarioError as e:
-            got = (e.path, e.message)
-        assert got == expected
-
-
-def letters_one_by_one(entries, path):
-    """An explicit alphabet's letter entries checked one at a time, each in
-    full before the next: the ids and probabilities, or the first failure's
-    (path, message)."""
-    ids, probs = [], []
-    for i, entry in enumerate(entries):
-        epath = f"{path}[{i}]"
-        if not isinstance(entry, dict):
-            return epath, f"expected an object, got {type(entry).__name__}"
-        if "id" not in entry:
-            return epath, "missing required key 'id'"
-        for key in entry:
-            if key not in ("id", "probability", "label"):
-                return f"{epath}.{key}", "unknown key"
-        lid = entry["id"]
-        if isinstance(lid, bool) or not isinstance(lid, (str, int)):
-            return f"{epath}.id", f"letter id must be a string or integer, got {lid!r}"
-        label = entry.get("label", "kept")
-        if not isinstance(label, str) or not label:
-            return f"{epath}.label", f"expected a non-empty string, got {label!r}"
-        try:
-            probs.append(_as_number(entry["probability"], f"{epath}.probability"))
-        except KeyError:
-            probs.append(None)
-        except ScenarioError as e:
-            return e.path, e.message
-        ids.append(lid)
-    if probs.count(None) not in (0, len(probs)):
-        return path, "either every letter carries a probability or none do"
-    return tuple(ids), None if probs[0] is None else probs
-
-
-class TestLetterEntriesAgreeEntryByEntry:
-    """Random letter lists: `_letter_entries` checks them in bulk and must
-    give what checking one entry at a time gives, down to the first
-    failure's path and message."""
-
-    IDS = ["a", "b", 0, 7, "0", 10**30]
-    BAD_IDS = [True, 1.5, None, ["a"], {"a": 1}]
-    PROBABILITIES = [0.25, 1, 0, 1e-300]
-    BAD_PROBABILITIES = [None, math.nan, math.inf, 10**400, True, "0.5", [0.5]]
-    LABELS = ["x", "é label"]
-    BAD_LABELS = ["", 3, None, ["x"], {"x": 1}]
-
-    def entries(self, seed):
-        rng = random.Random(seed)
-        faults = rng.choice([0.0, 0.02, 0.1])
-        with_probability = rng.random() < 0.5
-        with_label = rng.random()
-
-        def pick(good, bad):
-            return rng.choice(bad if rng.random() < faults else good)
-
-        out = []
-        for i in range(rng.randint(1, 12)):
-            entry = {"id": pick([f"l{i}", *self.IDS], self.BAD_IDS)}
-            if with_probability != (rng.random() < faults):
-                entry["probability"] = pick(self.PROBABILITIES, self.BAD_PROBABILITIES)
-            if rng.random() < with_label:
-                entry["label"] = pick(self.LABELS, self.BAD_LABELS)
-            if rng.random() < faults:
-                entry.pop("id")
-            if rng.random() < faults:
-                entry["weight"] = 1.0
-            items = list(entry.items())
-            rng.shuffle(items)
-            out.append(dict(items) if rng.random() >= faults else rng.choice(["x", 1, None, []]))
-        return out
-
-    @pytest.mark.parametrize("seed", range(300))
-    def test_letter_list(self, seed):
-        entries = self.entries(seed)
-        expected = letters_one_by_one(entries, "p.letters")
-        try:
-            got = _letter_entries(entries, "p.letters")
         except ScenarioError as e:
             got = (e.path, e.message)
         assert got == expected
