@@ -15,6 +15,7 @@ scenario, unknown name), 2 for unexpected internal failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -109,7 +110,10 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process, as main may run many times in one; the tree
+    # holds no handler: main picks it by command name when called
     parser = _Parser(prog="absmeter", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -118,29 +122,24 @@ def _build_parser() -> _Parser:
     p.add_argument("--pipeline", help="restrict pipeline and route sections to this id")
     p.add_argument("--format", choices=_FORMATS, default="table")
     p.add_argument("--out", help="write to this path instead of stdout")
-    p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("exemplar", help="print a built-in scenario declaration")
     p.add_argument("name", choices=EXEMPLAR_NAMES)
     p.add_argument("--out", help="write to this path instead of stdout")
-    p.set_defaults(handler=_cmd_exemplar)
 
     p = sub.add_parser("score", help="score a quality judgment")
     p.add_argument("--condition-a", choices=("yes", "no"), required=True,
                    help="does the target representation keep the task achievable")
     p.add_argument("--condition-b", choices=tuple(_CONDITION_B), required=True,
                    help="is the source alphabet recoverable where the task needs it")
-    p.set_defaults(handler=_cmd_score)
 
     p = sub.add_parser("axis", help="classify transitions along declared axes")
     p.add_argument("file", help="scenario JSON path, or - for stdin")
     p.add_argument("--axis", help="only this axis id")
     p.add_argument("--out", help="write to this path instead of stdout")
-    p.set_defaults(handler=_cmd_axis)
 
     p = sub.add_parser("validate", help="check that a scenario file is well formed")
     p.add_argument("file", help="scenario JSON path, or - for stdin")
-    p.set_defaults(handler=_cmd_validate)
 
     return parser
 
@@ -156,7 +155,14 @@ def main(argv=None) -> int:
     except SystemExit as err:  # --help
         return int(err.code or 0)
     try:
-        return args.handler(args)
+        handler = {
+            "analyze": _cmd_analyze,
+            "exemplar": _cmd_exemplar,
+            "score": _cmd_score,
+            "axis": _cmd_axis,
+            "validate": _cmd_validate,
+        }[args.command]
+        return handler(args)
     except (ScenarioError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

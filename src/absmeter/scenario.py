@@ -203,8 +203,9 @@ def _not_a_letter(key: Any, alphabet: Alphabet) -> str:
     return f"{key!r} is not a letter of alphabet '{alphabet.id}'"
 
 
-def _positions(alphabet: Alphabet, keys: list) -> list:
-    """Position in ``alphabet`` of the letter each of ``keys`` names, or None.
+def _positions(alphabet: Alphabet, keys: list, types: set) -> list:
+    """Position in ``alphabet`` of the letter each of ``keys`` (whose types
+    are ``types``) names, or None.
 
     A string or integer key names a letter by its id or, as JSON object keys
     are strings even where an alphabet uses integer ids, by ``int`` of a
@@ -212,7 +213,7 @@ def _positions(alphabet: Alphabet, keys: list) -> list:
     a range, so its keys are placed by arithmetic on their ``int``: when the
     range is ``range(n)`` and every key is in it, the position is the key.
     """
-    if set(map(type, keys)) - {str, int}:
+    if types - {str, int}:
         keys = [
             key if isinstance(key, (str, int)) and not isinstance(key, bool) else None
             for key in keys
@@ -262,13 +263,26 @@ def _letters(alphabet: Alphabet) -> Callable[[list, Callable[[int], str]], list]
     of the letters that values name."""
 
     def positions(values: list, where: Callable[[int], str]) -> list:
-        found = _positions(alphabet, values)
+        found = _positions(alphabet, values, set(map(type, values)))
         if None in found:
             i = found.index(None)
             _fail(where(i), _not_a_letter(values[i], alphabet))
         return found
 
     return positions
+
+
+def _mixed_key(keys: list, sizes: list) -> tuple[int, Any]:
+    """Index of the first of ``keys`` (objects of ``sizes`` keys, one after
+    another) whose type is not its object's first key's, and that first key;
+    ``(len(keys), None)`` where each object's keys share one type."""
+    start = 0
+    for size in sizes:
+        for i in range(start + 1, start + size):
+            if type(keys[i]) is not type(keys[start]):
+                return i, keys[start]
+        start += size
+    return len(keys), None
 
 
 def _by_position(
@@ -278,23 +292,29 @@ def _by_position(
     ``value_of(values, where)`` of its values, in the object's order; with
     ``nested``, of the entries of ``raw``'s values (objects), one after
     another. Two keys of one object that name one letter fail at the later
-    one. The first failing entry fails at its path, ``path[key]`` (nested,
-    ``path[row][key]``), a key's fault before its value's; ``value_of``
-    reports a value's at ``where(i)``, which formats the path of entry i."""
+    one, and so does a key whose type is not the object's first key's (a
+    Python-built object mixing ``int`` and ``str`` keys, which
+    `Scenario.to_json` could not sort). The first failing entry fails at its path,
+    ``path[key]`` (nested, ``path[row][key]``), a key's fault before its
+    value's; ``value_of`` reports a value's at ``where(i)``, which formats
+    the path of entry i."""
     if nested:
         objects = list(raw.values())
         keys = list(chain.from_iterable(objects))
         values = list(chain.from_iterable(map(dict.values, objects)))
     else:
-        keys, values = list(raw), list(raw.values())
-    found = _positions(alphabet, keys)
+        objects, keys, values = [raw], list(raw), list(raw.values())
+    sizes = list(map(len, objects))
+    types = set(map(type, keys))
+    found = _positions(alphabet, keys, types)
     stop = found.index(None) if None in found else len(found)
+    mixed, first_key = _mixed_key(keys, sizes) if {str, int} <= types else (len(keys), None)
+    stop = min(stop, mixed)
     letters = found[:stop]
     if nested:
         # an entry of object r at position k counts as letter r * n + k, so
         # only keys of one object can repeat a letter
         n = alphabet.n_letters
-        sizes = list(map(len, objects))
         offsets = chain.from_iterable(map(repeat, range(0, n * len(sizes), n), sizes))
         letters = list(map(add, letters, offsets))
     if len(set(letters)) < stop:
@@ -313,6 +333,12 @@ def _by_position(
         key = keys[stop]
         if found[stop] is None:
             _fail(where(stop), _not_a_letter(key, alphabet))
+        if stop == mixed:
+            _fail(
+                where(stop),
+                f"key {key!r} is of type {type(key).__name__}, but the object's "
+                f"first key {first_key!r} is of type {type(first_key).__name__}",
+            )
         _fail(where(stop), f"{key!r} names the same letter as {repeated!r}")
     return found, converted
 

@@ -14,7 +14,8 @@
 #           again with one thread; a numpy divide or log warning fails the
 #           run instead of passing silently.
 # refusals: each malformed declaration exits 1 with exactly one error line
-#           naming its JSON path, never a traceback or exit 2.
+#           naming its JSON path, never a traceback or exit 2; each usage
+#           error exits 1 with its subcommand's usage, then its error line.
 set -eu -o pipefail
 cd "$(dirname "$0")/.."
 read -r -a absmeter <<< "${ABSMETER:-absmeter}"
@@ -62,6 +63,25 @@ refuses() {
   printf '%s\n' "$2" | diff - "$tmp/stderr.txt"
 }
 
+# usage_error EXPECTED ARGS...: absmeter ARGS exits 1, and its stderr starts
+# with the usage of the subcommand ARGS names and ends in a line starting
+# with EXPECTED. Only those two lines are compared: argparse wraps the usage
+# to the terminal's width, and how it quotes a choice list varies between
+# Python versions.
+usage_error() {
+  expected=$1
+  shift
+  status=0
+  "${absmeter[@]}" "$@" 2> "$tmp/stderr.txt" || status=$?
+  first=$(head -n 1 "$tmp/stderr.txt")
+  last=$(tail -n 1 "$tmp/stderr.txt")
+  if [ "$status" != 1 ] || [[ $first != "usage: absmeter $1 "* ]] || [[ $last != "$expected"* ]]; then
+    echo "absmeter $*: exit $status, stderr:" >&2
+    cat "$tmp/stderr.txt" >&2
+    return 1
+  fi
+}
+
 refusals() {
   refuses '{"pipelines": [{"id": "p", "stages": [], "prior": {"0": 1.0}}]}' \
     'error: pipelines[0].stages: a pipeline needs at least two stages'
@@ -75,6 +95,10 @@ refusals() {
     "error: channels[0].deterministic.map['01']: '01' names the same letter as '1'"
   refuses '{"alphabets": [{"id": "a", "uniform_range": {"min": 0, "max": 2, "step": 1}}, {"id": "b", "letters": [{"id": "x"}, {"id": "y"}]}], "channels": [{"id": "f", "from": "a", "to": "b", "deterministic": {"map": {"0": "x", "1": "z", "3": "y"}}}]}' \
     "error: channels[0].deterministic.map['1']: 'z' is not a letter of alphabet 'b'"
+  usage_error "error: argument --format: invalid choice: 'xml'" \
+    analyze tests/fixtures/route_premises_hold.json --format xml
+  usage_error "error: the following arguments are required: --condition-b" \
+    score --condition-a yes
 }
 
 if [ $# = 0 ]; then set -- goldens refusals; fi

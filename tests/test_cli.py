@@ -512,6 +512,53 @@ class TestValidate:
         assert int(result.stdout.split()[-1]) <= 350
 
 
+class TestRepeatedCalls:
+    """`main` builds its parser once per process; calls share nothing else."""
+
+    def calls(self, fixtures_dir):
+        routes = str(fixtures_dir / "route_premises_hold.json")
+        axes = str(fixtures_dir / "molecular_axes.json")
+        return [
+            ["analyze", routes, "--pipeline", "two-hop", "--format", "json"],
+            ["analyze", routes],
+            ["analyze", routes, "--format", "xml"],
+            ["--help"],
+            ["axis", axes, "--axis", "bond-structure"],
+            ["axis", axes],
+        ]
+
+    def test_each_call_answers_as_the_first_of_a_fresh_main(self, fixtures_dir, capsys):
+        import absmeter.cli as cli_module
+
+        calls = self.calls(fixtures_dir)
+        first = []
+        for argv in calls:
+            cli_module._build_parser.cache_clear()
+            first.append(run_cli(argv, capsys))
+        assert [code for code, _, _ in first] == [0, 0, 1, 0, 0, 0]
+        cli_module._build_parser.cache_clear()
+        for _ in range(2):
+            assert [run_cli(argv, capsys) for argv in calls] == first
+
+    def test_no_parser_is_built_after_the_first_call(self, fixtures_dir, capsys, monkeypatch):
+        import absmeter.cli as cli_module
+
+        built = []
+        init = cli_module._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli_module._Parser, "__init__", counted)
+        calls = self.calls(fixtures_dir)
+        run_cli(calls[0], capsys)
+        built.clear()
+        for i in range(20):
+            run_cli(calls[i % len(calls)], capsys)
+        assert built == []
+
+
 class TestEndToEnd:
     def test_pipe_exemplar_into_analyze(self):
         produced = run_module(["exemplar", "integer-plot"])

@@ -459,6 +459,43 @@ class TestDuplicateLetterKeys:
         assert [channel.image_of(i) for i in range(3)] == ["0", "0", "1"]
 
 
+def rows_over(rows, to="b") -> dict:
+    """A Python-built declaration: a stochastic channel from letters 0 and 1
+    of "a" to alphabet ``to`` ("b" has the one letter "x"), with ``rows``."""
+    return {
+        "alphabets": [grid("a", 2), {"id": "b", "letters": [{"id": "x"}]}],
+        "channels": [{"id": "s", "from": "a", "to": to, "stochastic": {"rows": rows}}],
+    }
+
+
+class TestMixedKeyTypes:
+    """JSON gives only string keys; an object built in Python may mix `int`
+    and `str` keys, which `Scenario.to_json` cannot sort, so it is refused."""
+
+    @pytest.mark.parametrize(
+        "rows, to, path",
+        [
+            ({0: {"x": 1.0}, "1": {"x": 1.0}}, "b", "channels[0].stochastic.rows['1']"),
+            ({0: {0: 0.5, "1": 0.5}, 1: {1: 1.0}}, "a", "channels[0].stochastic.rows[0]['1']"),
+        ],
+        ids=["flat", "nested"],
+    )
+    def test_fails_at_the_first_key_of_another_type(self, rows, to, path):
+        with pytest.raises(ScenarioError) as exc_info:
+            parse_scenario(rows_over(rows, to))
+        assert exc_info.value.path == path
+        assert exc_info.value.message == (
+            "key '1' is of type str, but the object's first key 0 is of type int"
+        )
+
+    def test_objects_of_one_key_type_each_load_and_write(self):
+        scenario = parse_scenario(rows_over({0: {0: 1.0}, 1: {"1": 1.0}}, "a"))
+        assert json.loads(scenario.to_json())["channels"][0]["stochastic"]["rows"] == {
+            "0": {"0": 1.0},
+            "1": {"1": 1.0},
+        }
+
+
 def named_position(ids, key):
     """Position of the letter a JSON key names, entry by entry: its id, else
     int of a string key or str of an integer one; None when it names none."""
