@@ -7,106 +7,75 @@ reconstruct and what was actually there). Weighing both against the cost of
 the step gives a number that can be compared across designs, and whole
 families of representations can be organized along axes of progressively
 heavier abstraction.
+
+Each exported name loads the submodule that defines it on first use (PEP
+562), so `import absmeter` costs no numpy until a name that needs it is
+read. A name read once is stored here, and later reads are plain lookups.
 """
 
-from .alphabet import (
-    Alphabet,
-    Pmf,
-    entropy,
-    kl_divergence,
-    make_quantized_range,
-)
-from .axis import (
-    AbstractionAxis,
-    AbstractionSpace,
-    ForkPoint,
-    NodeKind,
-    OverlappingAttributesError,
-    RepresentationNode,
-    TransitionKind,
-    classify_transition,
-    combine_space,
-    detect_fork,
-)
-from .channel import (
-    Channel,
-    alphabet_compression,
-    bayes_inverse,
-    potential_distortion,
-    push_forward,
-    reconstructed_pmf,
-)
-from .costbenefit import (
-    AbstractionJudgment,
-    ConditionB,
-    CostBenefitReport,
-    Pipeline,
-    PointOfView,
-    RouteComparison,
-    Stage,
-    StageMetrics,
-    TaskAction,
-    TaskTarget,
-    abstraction_score,
-    compare_routes,
-    pipeline_cost_benefit,
-    stage_cost_benefit,
-)
-from .exemplars import EXEMPLAR_NAMES, exemplar
-from .report import Report, analyze
-from .scenario import (
-    Scenario,
-    ScenarioError,
-    load_scenario,
-    loads_scenario,
-    parse_scenario,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Alphabet",
-    "Pmf",
-    "entropy",
-    "kl_divergence",
-    "make_quantized_range",
-    "Channel",
-    "alphabet_compression",
-    "bayes_inverse",
-    "potential_distortion",
-    "push_forward",
-    "reconstructed_pmf",
-    "AbstractionJudgment",
-    "ConditionB",
-    "CostBenefitReport",
-    "Pipeline",
-    "PointOfView",
-    "RouteComparison",
-    "Stage",
-    "StageMetrics",
-    "TaskAction",
-    "TaskTarget",
-    "abstraction_score",
-    "compare_routes",
-    "pipeline_cost_benefit",
-    "stage_cost_benefit",
-    "AbstractionAxis",
-    "AbstractionSpace",
-    "ForkPoint",
-    "NodeKind",
-    "OverlappingAttributesError",
-    "RepresentationNode",
-    "TransitionKind",
-    "classify_transition",
-    "combine_space",
-    "detect_fork",
-    "EXEMPLAR_NAMES",
-    "exemplar",
-    "Report",
-    "analyze",
-    "Scenario",
-    "ScenarioError",
-    "load_scenario",
-    "loads_scenario",
-    "parse_scenario",
-]
+# submodule -> the names it defines that the package exports
+_EXPORTS = {
+    "alphabet": ("Alphabet", "Pmf", "entropy", "kl_divergence", "make_quantized_range"),
+    "channel": (
+        "Channel",
+        "alphabet_compression",
+        "bayes_inverse",
+        "potential_distortion",
+        "push_forward",
+        "reconstructed_pmf",
+    ),
+    "judgment": (
+        "AbstractionJudgment",
+        "ConditionB",
+        "PointOfView",
+        "TaskAction",
+        "TaskTarget",
+        "abstraction_score",
+    ),
+    "costbenefit": (
+        "CostBenefitReport",
+        "Pipeline",
+        "RouteComparison",
+        "Stage",
+        "StageMetrics",
+        "compare_routes",
+        "pipeline_cost_benefit",
+        "stage_cost_benefit",
+    ),
+    "axis": (
+        "AbstractionAxis",
+        "AbstractionSpace",
+        "ForkPoint",
+        "NodeKind",
+        "OverlappingAttributesError",
+        "RepresentationNode",
+        "TransitionKind",
+        "classify_transition",
+        "combine_space",
+        "detect_fork",
+    ),
+    "exemplars": ("EXEMPLAR_NAMES", "exemplar"),
+    "report": ("Report", "analyze"),
+    "scenario": ("Scenario", "ScenarioError", "load_scenario", "loads_scenario", "parse_scenario"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

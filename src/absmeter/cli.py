@@ -10,6 +10,9 @@ Subcommands:
 
 Exit codes: 0 on success, 1 for bad input (unreadable file, malformed
 scenario, unknown name), 2 for unexpected internal failure.
+
+The scenario loader and the report load inside the handlers that use them,
+so `score`, every `--help` and every usage error import no numpy.
 """
 
 from __future__ import annotations
@@ -19,10 +22,11 @@ import functools
 import sys
 from pathlib import Path
 
-from .costbenefit import ConditionB, abstraction_score
 from .exemplars import EXEMPLAR_NAMES, exemplar
-from .report import _FORMATS, _axis_sections, _fork_text, _transition_text, analyze
-from .scenario import Scenario, ScenarioError, _read_utf8, load_scenario, loads_scenario
+from .judgment import ConditionB, abstraction_score
+
+# the formats Report.render accepts, in its order; a test holds them equal
+_FORMATS = ("table", "json", "csv")
 
 _CONDITION_B = {
     "satisfied": ConditionB.SATISFIED,
@@ -45,7 +49,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self)
 
 
-def _load(file_arg: str) -> Scenario:
+def _load(file_arg: str):
+    from .scenario import _read_utf8, load_scenario, loads_scenario
+
     if file_arg == "-":
         data = sys.stdin.buffer.read()
         return loads_scenario(_read_utf8(lambda: data.decode("utf-8")), name="stdin")
@@ -60,6 +66,8 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _cmd_analyze(args) -> int:
+    from .report import analyze
+
     scenario = _load(args.file)
     report = analyze(scenario, pipeline_id=args.pipeline)
     _write(report.render(args.format), args.out)
@@ -78,6 +86,8 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_axis(args) -> int:
+    from .report import _axis_sections, _fork_text, _transition_text
+
     scenario = _load(args.file)
     if not scenario.axes:
         raise ValueError(f"scenario '{scenario.id}' declares no axes")
@@ -163,7 +173,7 @@ def main(argv=None) -> int:
             "validate": _cmd_validate,
         }[args.command]
         return handler(args)
-    except (ScenarioError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:  # a ScenarioError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 1
     except Exception as err:  # noqa: BLE001 - last resort, keep the CLI honest

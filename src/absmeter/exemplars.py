@@ -14,14 +14,12 @@ Four are provided:
   plus a raw-spreadsheet baseline.
 
 Each exemplar is built as a declaration and run through the ordinary
-scenario validation, so it behaves exactly like a loaded file.
+scenario validation, so it behaves exactly like a loaded file. The loader,
+and the numeric code behind it, load with the first build: the names alone
+(the CLI's choices) import no numpy.
 """
 
 from __future__ import annotations
-
-from .scenario import Scenario, _parse_owned
-
-EXEMPLAR_NAMES = ("barchart", "integer-plot", "random-plotter", "figure-scores")
 
 _CANVAS_LEVELS = 1001
 
@@ -155,9 +153,13 @@ _BUILDERS = {
     "figure-scores": _figure_scores,
 }
 
+EXEMPLAR_NAMES = tuple(_BUILDERS)
 
-def exemplar(name: str) -> Scenario:
-    """Build one of the named built-in scenarios."""
+
+def exemplar(name: str):
+    """Build one of the named built-in scenarios as a validated `Scenario`."""
+    from .scenario import _parse_owned
+
     try:
         builder = _BUILDERS[name]
     except KeyError:

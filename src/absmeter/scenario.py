@@ -36,16 +36,13 @@ import numpy as np
 from .alphabet import Alphabet, LetterId, Pmf, entropy, make_quantized_range
 from .axis import AbstractionAxis, NodeKind, RepresentationNode
 from .channel import MAX_DETERMINISTIC_LETTERS, Channel, _require_declared_size
-from .costbenefit import (
-    BAYES,
+from .costbenefit import BAYES, Pipeline, Stage, _require_same_ends
+from .judgment import (
     AbstractionJudgment,
     ConditionB,
-    Pipeline,
     PointOfView,
-    Stage,
     TaskAction,
     TaskTarget,
-    _require_same_ends,
     abstraction_score,
 )
 

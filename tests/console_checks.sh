@@ -5,8 +5,9 @@
 #   PYTHONPATH=src ABSMETER="python -m absmeter" bash tests/console_checks.sh
 #
 # ABSMETER is the command that runs absmeter (default: absmeter) and is split
-# into words. The arguments name the parts to run, goldens and refusals
-# (default: both). Any failed check ends the script with a nonzero status.
+# into words. The arguments name the parts to run, goldens, refusals and
+# numpy-free (default: all three). Any failed check ends the script with a
+# nonzero status.
 #
 # goldens:  every golden report is reproduced byte for byte, and every
 #           exemplar declaration equals json.dumps(..., indent=2,
@@ -16,6 +17,10 @@
 # refusals: each malformed declaration exits 1 with exactly one error line
 #           naming its JSON path, never a traceback or exit 2; each usage
 #           error exits 1 with its subcommand's usage, then its error line.
+# numpy-free: with a numpy that fails to import first on PYTHONPATH, score,
+#           --help and a usage error print what they print with numpy and
+#           exit 0, 0 and 1; validate, which needs numpy, must fail there, so
+#           the stub is known to be in the way.
 set -eu -o pipefail
 cd "$(dirname "$0")/.."
 read -r -a absmeter <<< "${ABSMETER:-absmeter}"
@@ -101,10 +106,44 @@ refusals() {
     score --condition-a yes
 }
 
-if [ $# = 0 ]; then set -- goldens refusals; fi
+# same_without_numpy STATUS ARGS...: absmeter ARGS exits STATUS with numpy
+# and under the numpy stub, and writes the same stdout and stderr under both
+same_without_numpy() {
+  expected=$1
+  shift
+  plain=0
+  "${absmeter[@]}" "$@" > "$tmp/out.txt" 2> "$tmp/err.txt" || plain=$?
+  status=0
+  PYTHONPATH="$tmp/stub${PYTHONPATH:+:$PYTHONPATH}" "${absmeter[@]}" "$@" \
+    > "$tmp/stub-out.txt" 2> "$tmp/stub-err.txt" || status=$?
+  if [ "$plain" != "$expected" ] || [ "$status" != "$expected" ] \
+    || ! cmp -s "$tmp/out.txt" "$tmp/stub-out.txt" || ! cmp -s "$tmp/err.txt" "$tmp/stub-err.txt"; then
+    echo "absmeter $*: exit $plain with numpy, $status without; without, stdout and stderr:" >&2
+    cat "$tmp/stub-out.txt" "$tmp/stub-err.txt" >&2
+    return 1
+  fi
+}
+
+numpy_free() {
+  mkdir -p "$tmp/stub/numpy"
+  echo 'raise ImportError("numpy is stubbed out")' > "$tmp/stub/numpy/__init__.py"
+  same_without_numpy 0 score --condition-a yes --condition-b na
+  same_without_numpy 0 --help
+  same_without_numpy 1 analyze tests/fixtures/route_premises_hold.json --format xml
+  status=0
+  PYTHONPATH="$tmp/stub${PYTHONPATH:+:$PYTHONPATH}" "${absmeter[@]}" \
+    validate tests/fixtures/route_premises_hold.json > /dev/null 2> "$tmp/stub-err.txt" || status=$?
+  if [ "$status" = 0 ] || ! grep -q "numpy is stubbed out" "$tmp/stub-err.txt"; then
+    echo "the numpy stub did not stop validate: exit $status" >&2
+    return 1
+  fi
+}
+
+if [ $# = 0 ]; then set -- goldens refusals numpy-free; fi
 for part in "$@"; do
   case $part in
     goldens | refusals) "$part" ;;
+    numpy-free) numpy_free ;;
     *) echo "unknown part: $part" >&2; exit 2 ;;
   esac
 done

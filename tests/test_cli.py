@@ -559,6 +559,41 @@ class TestRepeatedCalls:
         assert built == []
 
 
+class TestChoices:
+    """The parser's choices are written where no numpy is imported; they
+    name exactly what the code behind them accepts."""
+
+    def choices(self, command, dest):
+        import argparse
+
+        import absmeter.cli as cli_module
+
+        (commands,) = (
+            a for a in cli_module._build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        (action,) = (a for a in commands.choices[command]._actions if a.dest == dest)
+        return tuple(action.choices)
+
+    def test_format_choices_are_the_formats_render_accepts(self):
+        import absmeter.report as report_module
+        from absmeter import exemplar
+
+        formats = self.choices("analyze", "format")
+        assert formats == tuple(report_module._FORMATS)
+        report = report_module.analyze(exemplar("figure-scores"))
+        for name in formats:
+            assert report.render(name)
+        with pytest.raises(ValueError, match=r"valid: table, json, csv\)"):
+            report.render("xml")
+
+    def test_exemplar_choices_are_the_built_in_names(self):
+        import absmeter.exemplars as exemplars_module
+
+        names = self.choices("exemplar", "name")
+        assert names == exemplars_module.EXEMPLAR_NAMES == tuple(exemplars_module._BUILDERS)
+
+
 class TestEndToEnd:
     def test_pipe_exemplar_into_analyze(self):
         produced = run_module(["exemplar", "integer-plot"])
@@ -588,6 +623,47 @@ class TestEndToEnd:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
+    # numpy and the package's modules that need it; `score`, every `--help`
+    # and every usage error load none of them
+    NUMERIC = ("absmeter.alphabet", "absmeter.channel", "absmeter.costbenefit",
+               "absmeter.scenario", "absmeter.report")
+
+    def numeric_modules_after(self, code, *argv):
+        # the last stdout line of a fresh child that runs ``code`` with
+        # ``argv``: the numeric modules it then holds
+        probe = code + (
+            "\nimport json, sys; print(json.dumps(sorted(m for m in sys.modules "
+            f"if m.split('.')[0] == 'numpy' or m in {self.NUMERIC!r})))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe, *argv], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout.splitlines()[-1])
+
+    def test_import_loads_no_numpy(self):
+        assert self.numeric_modules_after("import absmeter") == []
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["score", "--condition-a", "yes", "--condition-b", "na"], 0),
+            (["--help"], 0),
+            (["score", "--help"], 0),
+            (["analyze", "F", "--format", "xml"], 1),
+        ],
+    )
+    def test_score_help_and_usage_errors_load_no_numpy(self, argv, code):
+        run = (
+            "import sys; from absmeter.cli import main; "
+            f"assert main(sys.argv[1:]) == {code}"
+        )
+        assert self.numeric_modules_after(run, *argv) == []
+
+    def test_reading_analyze_loads_numpy(self):
+        loaded = self.numeric_modules_after("import absmeter; absmeter.analyze")
+        assert "numpy" in loaded and "absmeter.report" in loaded
+
     def test_help_exits_zero(self):
         result = run_module(["--help"])
         assert result.returncode == 0
@@ -611,8 +687,8 @@ class TestEndToEnd:
     def test_console_checks_of_ci_run(self):
         # the workflow's console-script checks, through this interpreter
         # instead of an installed console script: the whole script parses,
-        # and its refusal checks pass. Its golden diffs repeat test_golden.py's
-        # pinned reports and are left to the workflow.
+        # and its refusal and numpy-free checks pass. Its golden diffs repeat
+        # test_golden.py's pinned reports and are left to the workflow.
         script = os.path.join(os.path.dirname(__file__), "console_checks.sh")
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(
@@ -622,6 +698,6 @@ class TestEndToEnd:
         )
         subprocess.run(["bash", "-n", script], check=True, timeout=60)
         result = subprocess.run(
-            ["bash", script, "refusals"], env=env, capture_output=True, text=True, timeout=120
+            ["bash", script, "refusals", "numpy-free"], env=env, capture_output=True, text=True, timeout=120
         )
         assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
